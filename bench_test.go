@@ -688,18 +688,14 @@ func BenchmarkSearchEngine(b *testing.B) {
 // --- retrieval substrate benches ----------------------------------------
 
 // searchOnce issues one SERP query over the named retrieval path: "scan"
-// (dense cosine + full sort), "indexed" (posting lists + top-k heap,
-// exhaustive) or "pruned" (impact-ordered blocks + max-score skipping, the
-// production path). All three return byte-identical results (see the golden
+// (dense cosine + full sort) or "search" (posting lists + top-k heap, the
+// production path). Both return byte-identical results (see the golden
 // ladder in internal/search); only the cost differs.
 func searchOnce(e *search.Engine, mode, factID, q string, n int) error {
 	var err error
-	switch mode {
-	case "scan":
+	if mode == "scan" {
 		_, err = e.ScanSearch(factID, q, n)
-	case "indexed":
-		_, err = e.IndexedSearch(factID, q, n)
-	default:
+	} else {
 		_, err = e.Search(factID, q, n)
 	}
 	return err
@@ -869,7 +865,7 @@ func BenchmarkColdCell(b *testing.B) {
 
 // corpusScaleEngine builds a standalone search engine whose per-fact pools
 // follow `scale`× the paper's size distribution (mean ≈155·scale docs), so
-// the scan/indexed/pruned asymptotics separate as the corpus grows. Pools
+// the scan/indexed asymptotics separate as the corpus grows. Pools
 // for the benched facts are materialised (and both paths' per-pool state
 // warmed) outside the timer.
 func corpusScaleEngine(b *testing.B, scale int) (*search.Engine, []*dataset.Fact) {
@@ -926,10 +922,10 @@ func benchmarkSearchScale(b *testing.B, mode string, scale int) {
 
 // searchBench enumerates one path's sub-benchmarks: 1 and 8 concurrent
 // query streams over the shared grid fixture, plus single-stream runs at
-// growing corpus scales. The corpus-scale series is where the pruned path's
-// sublinear behaviour shows: scan grows linearly with pool size, indexed
-// with postings per query dimension, pruned only with the blocks that can
-// still beat the heap floor.
+// growing corpus scales: scan grows with pool size times vector width,
+// indexed with the postings of the query's dimensions. The 10× and 100×
+// scales are not served; they show what exhaustive retrieval would cost
+// on larger pools.
 func searchBench(b *testing.B, mode string) {
 	b.Run("par1", func(b *testing.B) { benchmarkSearchPath(b, mode, 1) })
 	b.Run("par8", func(b *testing.B) { benchmarkSearchPath(b, mode, 8) })
@@ -1025,11 +1021,7 @@ func BenchmarkConsensusAdaptive(b *testing.B) { consensusBench(b, consensus.Mode
 // cosine + full sort).
 func BenchmarkSearchScan(b *testing.B) { searchBench(b, "scan") }
 
-// BenchmarkSearchIndexed times the exhaustive posting-list + bounded-heap
-// ranking; the gap versus BenchmarkSearchScan is PR 2's win.
-func BenchmarkSearchIndexed(b *testing.B) { searchBench(b, "indexed") }
-
-// BenchmarkSearchPruned times the production path: impact-ordered block
-// postings with max-score early termination. The gap versus
-// BenchmarkSearchIndexed is this PR's win and widens with corpus scale.
-func BenchmarkSearchPruned(b *testing.B) { searchBench(b, "pruned") }
+// BenchmarkSearchIndexed times the production path, Engine.Search: the
+// exhaustive posting-list + bounded-heap ranking. The gap versus
+// BenchmarkSearchScan is the inverted index's win.
+func BenchmarkSearchIndexed(b *testing.B) { searchBench(b, "search") }

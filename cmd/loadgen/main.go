@@ -631,7 +631,7 @@ func fetchTargets(client *http.Client, addr string) ([]target, error) {
 
 // fetchStats snapshots the server's /statsz counters; loadgen prints the
 // retrieval block so per-layer reports show how much posting-list work the
-// run induced (and how much the pruned top-k skipped).
+// run induced.
 func fetchStats(client *http.Client, addr string) (serve.Stats, error) {
 	var st serve.Stats
 	resp, err := client.Get(addr + "/statsz")
@@ -843,9 +843,8 @@ func run(args []string, out io.Writer) error {
 	if st, err := fetchStats(client, addr); err != nil {
 		fmt.Fprintf(out, "retrieval: unavailable (%v)\n", err)
 	} else {
-		fmt.Fprintf(out, "retrieval: queries=%d postings_touched=%d blocks_skipped=%d docs_scored=%d\n",
-			st.Retrieval.SearchQueries, st.Retrieval.PostingsTouched,
-			st.Retrieval.BlocksSkipped, st.Retrieval.DocsScored)
+		fmt.Fprintf(out, "retrieval: queries=%d postings_touched=%d docs_scored=%d\n",
+			st.Retrieval.SearchQueries, st.Retrieval.PostingsTouched, st.Retrieval.DocsScored)
 		fmt.Fprintf(out, "consensus: requests=%d dispatched=%d skipped=%d escalations=%d arbiters=%d\n",
 			st.ConsensusRequests, st.ConsensusDispatched, st.ConsensusSkipped,
 			st.ConsensusEscalations, st.ConsensusArbiters)

@@ -25,8 +25,8 @@ func benchIndex(b *testing.B) (*Index, text.SparseVector) {
 }
 
 // BenchmarkTopKWarm proves the arena makes warm queries alloc-free: with a
-// reused Arena and a prebuilt perturbation closure, both the exhaustive and
-// the pruned paths must report 0 allocs/op.
+// reused Arena and a prebuilt perturbation closure, TopKSparse must report
+// 0 allocs/op.
 func BenchmarkTopKWarm(b *testing.B) {
 	ix, q := benchIndex(b)
 	perturb := func(id string) float64 { return 0.05 * det.Uniform("bench", id) }
@@ -37,15 +37,6 @@ func BenchmarkTopKWarm(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ix.TopKSparse(q, 8, perturb, a)
-		}
-	})
-	b.Run("pruned", func(b *testing.B) {
-		a := &Arena{}
-		ix.TopKPruned(q, 8, perturb, 0.05, a)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.TopKPruned(q, 8, perturb, 0.05, a)
 		}
 	})
 }

@@ -7,13 +7,10 @@
 // bounded min-heap, replacing the full O(pool · log pool) sort with
 // O(pool · log k).
 //
-// Beyond the exhaustive paths (TopK over a dense query, TopKSparse over a
-// sparse one), the index carries an impact-ordered block layout — each
-// dimension's posting list cut into fixed-size blocks with per-block and
-// per-dimension max weights, blocks visited in descending-max order — that
-// powers TopKPruned, a max-score/WAND-style early-termination top-k which
-// skips whole blocks provably unable to reach the running heap floor (see
-// pruned.go for the provable-skip invariant).
+// TopKSparse is the one retrieval path, and it is exhaustive: it reads every
+// posting of every query dimension. A fact's pool is small (about 110–155
+// documents against n_max = 100 results), so there is no work for an
+// early-termination top-k to skip.
 //
 // Determinism contract: for any query q and document d, the accumulated
 // score equals text.Cosine(text.Embed(q), text.Embed(title+" "+body)) bit
@@ -22,7 +19,7 @@
 // contribute exactly +0.0, which is an identity under IEEE-754 addition for
 // the non-negative partial sums involved. The selected top k under the
 // total order (score desc, doc ID asc) is therefore byte-identical to
-// sorting the full pool and truncating — for all three paths.
+// sorting the full pool and truncating.
 package index
 
 import (
@@ -40,51 +37,13 @@ type Posting struct {
 	Weight float32
 }
 
-// DefaultBlockSize is the posting-block length the builder uses unless
-// overridden: small enough that one cold block skip saves real work on the
-// paper's ~155-doc pools, large enough that block metadata stays a few
-// percent of posting memory at 10×/100× corpus scale.
-const DefaultBlockSize = 64
-
-// block is one fixed-size slice of a dimension's posting list. Postings
-// within a block stay document-ascending; the per-dimension block *order*
-// is descending by Max, so pruned traversal sees the highest upper bounds
-// first and can stop at the first block that cannot beat the heap floor.
-type block struct {
-	// Off and N delimit the block's postings within the dimension's list.
-	Off, N int32
-	// Max is the largest weight in the block: Weight <= Max for every
-	// posting of the block, so qw·Max bounds the block's contribution.
-	Max float32
-}
-
-// dimList is one dimension's postings plus its pruning metadata.
-type dimList struct {
-	// postings is the full list, document ascending (the exhaustive paths
-	// scan it directly).
-	postings []Posting
-	// blocks is the impact-ordered block layout: sorted by (Max desc,
-	// Off asc), covering postings exactly.
-	blocks []block
-	// max is the dimension's largest weight (the first block's Max).
-	max float32
-}
-
 // Index is an immutable inverted index over one document pool.
 type Index struct {
-	// dims maps a hashed term dimension to its posting list and block
-	// metadata. Dimensions absent from every document are absent here.
-	dims map[int32]*dimList
+	// dims maps a hashed term dimension to its document-ascending posting
+	// list. Dimensions absent from every document are absent here.
+	dims map[int32][]Posting
 	// ids is the pool-ordered document ID table.
 	ids []string
-	// docOff/docDims/docWts are the forward store: document d's sparse
-	// vector is docDims[docOff[d]:docOff[d+1]] (ascending dimensions) with
-	// matching weights. TopKPruned scores a surviving candidate by merge-
-	// joining the query against this row — the same ascending-dimension
-	// product order as the dense loop, hence bit-identical scores.
-	docOff  []int32
-	docDims []int32
-	docWts  []float32
 	// nPostings is the total posting count, for stats.
 	nPostings int
 }
@@ -92,33 +51,17 @@ type Index struct {
 // Builder accumulates documents into an Index. Documents must be added in
 // pool order; the builder is not safe for concurrent use.
 type Builder struct {
-	dims      map[int32]*dimList
-	ids       []string
-	docOff    []int32
-	docDims   []int32
-	docWts    []float32
-	n         int
-	blockSize int
+	dims map[int32][]Posting
+	ids  []string
+	n    int
 }
 
 // NewBuilder returns a builder sized for about capHint documents.
 func NewBuilder(capHint int) *Builder {
 	return &Builder{
-		dims:      make(map[int32]*dimList),
-		ids:       make([]string, 0, capHint),
-		docOff:    append(make([]int32, 0, capHint+1), 0),
-		blockSize: DefaultBlockSize,
+		dims: make(map[int32][]Posting),
+		ids:  make([]string, 0, capHint),
 	}
-}
-
-// WithBlockSize overrides the posting-block length (tests use tiny blocks
-// to force cross-block boundaries on small pools). Must be called before
-// the first Add; returns the builder for chaining.
-func (b *Builder) WithBlockSize(n int) *Builder {
-	if n > 0 {
-		b.blockSize = n
-	}
-	return b
 }
 
 // Add indexes one document from its term stream (content tokens of
@@ -137,67 +80,16 @@ func (b *Builder) AddVec(docID string, v text.SparseVector) {
 	doc := int32(len(b.ids))
 	b.ids = append(b.ids, docID)
 	for i, dim := range v.Dims {
-		dl, ok := b.dims[dim]
-		if !ok {
-			dl = &dimList{}
-			b.dims[dim] = dl
-		}
-		dl.postings = append(dl.postings, Posting{Doc: doc, Weight: v.Weights[i]})
-		b.n++
+		b.dims[dim] = append(b.dims[dim], Posting{Doc: doc, Weight: v.Weights[i]})
 	}
-	b.docDims = append(b.docDims, v.Dims...)
-	b.docWts = append(b.docWts, v.Weights...)
-	b.docOff = append(b.docOff, int32(len(b.docDims)))
+	b.n += len(v.Dims)
 }
 
-// Build finalises the index: per-dimension maxima and the impact-ordered
-// block layout are computed here, once, so every later query prunes against
-// immutable metadata. The builder must not be reused afterwards.
+// Build finalises the index. The builder must not be reused afterwards.
 func (b *Builder) Build() *Index {
-	bs := int32(b.blockSize)
-	for _, dl := range b.dims {
-		n := int32(len(dl.postings))
-		dl.blocks = make([]block, 0, (n+bs-1)/bs)
-		for off := int32(0); off < n; off += bs {
-			ln := min(bs, n-off)
-			mx := float32(0)
-			for _, p := range dl.postings[off : off+ln] {
-				if p.Weight > mx {
-					mx = p.Weight
-				}
-			}
-			dl.blocks = append(dl.blocks, block{Off: off, N: ln, Max: mx})
-		}
-		// Impact order: highest block max first; offset ascending on ties
-		// keeps the layout deterministic.
-		slices.SortFunc(dl.blocks, func(a, c block) int {
-			switch {
-			case a.Max > c.Max:
-				return -1
-			case a.Max < c.Max:
-				return 1
-			case a.Off < c.Off:
-				return -1
-			case a.Off > c.Off:
-				return 1
-			}
-			return 0
-		})
-		dl.max = dl.blocks[0].Max
-	}
-	ix := &Index{
-		dims:      b.dims,
-		ids:       b.ids,
-		docOff:    b.docOff,
-		docDims:   b.docDims,
-		docWts:    b.docWts,
-		nPostings: b.n,
-	}
+	ix := &Index{dims: b.dims, ids: b.ids, nPostings: b.n}
 	b.dims = nil
 	b.ids = nil
-	b.docOff = nil
-	b.docDims = nil
-	b.docWts = nil
 	return ix
 }
 
@@ -206,15 +98,6 @@ func (ix *Index) Docs() int { return len(ix.ids) }
 
 // Postings returns the total number of postings (non-zero term weights).
 func (ix *Index) Postings() int { return ix.nPostings }
-
-// Blocks returns the total posting-block count across all dimensions.
-func (ix *Index) Blocks() int {
-	n := 0
-	for _, dl := range ix.dims {
-		n += len(dl.blocks)
-	}
-	return n
-}
 
 // ID returns the doc ID at pool position i.
 func (ix *Index) ID(i int) string { return ix.ids[i] }
@@ -229,50 +112,28 @@ type Hit struct {
 	Score float64
 }
 
-// PruneStats counts the work of one TopKPruned call. The exhaustive paths
-// leave it zero.
-type PruneStats struct {
-	// PostingsTouched counts postings read: block postings examined plus
-	// forward-store entries consumed while exact-scoring candidates.
+// Stats counts the work of one TopKSparse call.
+type Stats struct {
+	// PostingsTouched is the summed length of the posting lists of the
+	// query dimensions present in the index.
 	PostingsTouched int
-	// BlocksSkipped counts posting blocks proven unable to reach the heap
-	// floor and never read (including blocks of whole dimensions the
-	// suffix bound eliminated).
-	BlocksSkipped int
-	// DocsScored counts documents exact-scored (candidates plus any
-	// perturbation-only sweep).
+	// DocsScored is the pool size: every document gets a final score.
 	DocsScored int
 }
 
-// Arena holds the per-query scratch state of the top-k paths: dense
-// accumulators, the bounded heap, the pruned path's candidate keys and
-// floor histograms. Reusing one arena across queries makes warm top-k
-// calls allocation-free; the engine pools arenas behind a sync.Pool. An
-// Arena is not safe for concurrent use, and the hit slice a top-k call
-// returns aliases the arena — copy it out before the next call on the
-// same arena.
+// Arena holds the per-query scratch state of a top-k call: the dense
+// accumulators, the bounded heap and the sort buffers. Reusing one arena
+// across queries makes warm top-k calls allocation-free; the engine pools
+// arenas behind a sync.Pool. An Arena is not safe for concurrent use, and
+// the hit slice a top-k call returns aliases the arena — copy it out before
+// the next call on the same arena.
 type Arena struct {
-	acc   []float64
-	hits  []Hit
-	keys  []uint64
-	tmp   []Hit
-	qdims []qdim
-	sfx   []float64
-	// hist buckets clamped partial accumulators during traversal — each a
-	// lower bound on its document's final score — and the final clamped
-	// accumulators once traversal ends. histFloor turns "k entries at or
-	// above an edge" into a provable lower bound on the k-th best score.
-	hist [histBuckets]int32
-	// Stats describes the last TopKPruned call on this arena.
-	Stats PruneStats
-}
-
-// qdim is one query dimension resolved against the index, carrying its
-// max-score contribution bound.
-type qdim struct {
-	qw float64 // query weight, widened once
-	c  float64 // qw·dimMax: the dimension's max possible contribution
-	dl *dimList
+	acc  []float64
+	hits []Hit
+	keys []uint64
+	tmp  []Hit
+	// Stats describes the last TopKSparse call on this arena.
+	Stats Stats
 }
 
 // accumulator returns a zeroed n-sized accumulator from the arena.
@@ -293,71 +154,38 @@ func (a *Arena) heap(k int) []Hit {
 	return a.hits[:0]
 }
 
-// TopK scores every pool document against the query vector and returns the
-// k best under (score desc, doc ID asc). perturb, when non-nil, adds an
-// extra per-document score component (the engine's deterministic SERP
-// jitter) after the cosine is clamped to [0,1] — every document receives
-// it, including those sharing no term with the query. a may be nil (a
-// temporary arena is allocated); when non-nil the returned slice aliases
-// it.
-func (ix *Index) TopK(q text.Vector, k int, perturb func(docID string) float64, a *Arena) []Hit {
-	n := len(ix.ids)
-	if k > n {
-		k = n
-	}
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if a == nil {
-		a = &Arena{}
-	}
-	// Term-at-a-time accumulation, query dimensions ascending: each
-	// document's accumulator receives exactly the non-zero products of the
-	// dense cosine loop, in the same order.
-	acc := a.accumulator(n)
-	for dim := 0; dim < text.VectorDim; dim++ {
-		qw := q[dim]
-		if qw == 0 {
-			continue
-		}
-		dl, ok := ix.dims[int32(dim)]
-		if !ok {
-			continue
-		}
-		for _, p := range dl.postings {
-			acc[p.Doc] += float64(qw) * float64(p.Weight)
-		}
-	}
-	return ix.selectTopK(acc, k, perturb, a)
-}
-
-// TopKSparse is TopK over a sparse query vector: accumulation skips the
-// dense 1024-dimension sweep and visits only the query's non-zero
-// dimensions — already ascending in a SparseVector — so the accumulated
-// scores, and therefore the selected top k, are bit-identical to TopK over
-// the dense equivalent.
+// TopKSparse scores every pool document against the sparse query vector
+// and returns the k best under (score desc, doc ID asc). Accumulation
+// visits only the query's non-zero dimensions, already ascending in a
+// SparseVector, so each document's accumulator receives exactly the
+// non-zero products of the dense cosine loop, in the same order. perturb,
+// when non-nil, adds an extra per-document score component (the engine's
+// deterministic SERP jitter) after the cosine is clamped to [0,1] — every
+// document receives it, including those sharing no term with the query.
+// a may be nil (a temporary arena is allocated); when non-nil the returned
+// slice aliases it and a.Stats reports the call's work.
 func (ix *Index) TopKSparse(q text.SparseVector, k int, perturb func(docID string) float64, a *Arena) []Hit {
 	n := len(ix.ids)
 	if k > n {
 		k = n
 	}
-	if k <= 0 || n == 0 {
-		return nil
-	}
 	if a == nil {
 		a = &Arena{}
 	}
+	a.Stats = Stats{}
+	if k <= 0 || n == 0 {
+		return nil
+	}
 	acc := a.accumulator(n)
 	for i, dim := range q.Dims {
-		dl, ok := ix.dims[dim]
-		if !ok {
-			continue
-		}
+		postings := ix.dims[dim]
+		a.Stats.PostingsTouched += len(postings)
 		qw := q.Weights[i]
-		for _, p := range dl.postings {
+		for _, p := range postings {
 			acc[p.Doc] += float64(qw) * float64(p.Weight)
 		}
 	}
+	a.Stats.DocsScored = n
 	return ix.selectTopK(acc, k, perturb, a)
 }
 

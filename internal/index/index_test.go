@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -33,6 +34,34 @@ func buildFixture(n int) (*Index, []text.Vector, []string) {
 		ids = append(ids, id)
 	}
 	return b.Build(), vecs, ids
+}
+
+// TopK is the dense-query reference rung: term-at-a-time accumulation
+// over all text.VectorDim dimensions of a dense query, ascending — the
+// order the dense cosine loop adds products — then the production
+// selection. TopKSparse must match it byte for byte.
+func (ix *Index) TopK(q text.Vector, k int, perturb func(docID string) float64, a *Arena) []Hit {
+	n := len(ix.ids)
+	if k > n {
+		k = n
+	}
+	if k <= 0 || n == 0 {
+		return nil
+	}
+	if a == nil {
+		a = &Arena{}
+	}
+	acc := a.accumulator(n)
+	for dim := 0; dim < text.VectorDim; dim++ {
+		qw := q[dim]
+		if qw == 0 {
+			continue
+		}
+		for _, p := range ix.dims[int32(dim)] {
+			acc[p.Doc] += float64(qw) * float64(p.Weight)
+		}
+	}
+	return ix.selectTopK(acc, k, perturb, a)
 }
 
 // scanRank is the dense reference ranking: cosine over full vectors, full
@@ -95,11 +124,15 @@ func TestTopKTieBreakByDocID(t *testing.T) {
 		b.Add(id, []string{"same", "tokens"})
 	}
 	ix := b.Build()
-	hits := ix.TopK(text.Embed("same tokens"), 4, nil, nil)
 	want := []string{"f-d0000", "f-d0001", "f-d0002", "f-d0003"}
-	for i, w := range want {
-		if hits[i].ID != w {
-			t.Fatalf("hit %d = %q, want %q (tie-break by ID)", i, hits[i].ID, w)
+	for _, hits := range [][]Hit{
+		ix.TopK(text.Embed("same tokens"), 4, nil, nil),
+		ix.TopKSparse(text.SparseEmbed("same tokens"), 4, nil, nil),
+	} {
+		for i, w := range want {
+			if hits[i].ID != w {
+				t.Fatalf("hit %d = %q, want %q (tie-break by ID)", i, hits[i].ID, w)
+			}
 		}
 	}
 }
@@ -140,5 +173,37 @@ func TestIndexStats(t *testing.T) {
 	}
 	if ix.ID(0) != "a-d0000" || ix.ID(1) != "a-d0001" {
 		t.Errorf("ID table wrong: %q %q", ix.ID(0), ix.ID(1))
+	}
+	// The work counters: every posting of alpha and beta, every document.
+	a := &Arena{}
+	ix.TopKSparse(text.SparseEmbed("alpha beta"), 1, nil, a)
+	if a.Stats != (Stats{PostingsTouched: 3, DocsScored: 2}) {
+		t.Errorf("Stats = %+v, want 3 postings touched, 2 docs scored", a.Stats)
+	}
+}
+
+// TestArenaReuse runs many different queries through one arena on both
+// rungs: results must be identical to fresh-arena calls (stale
+// accumulators or heap state would corrupt them).
+func TestArenaReuse(t *testing.T) {
+	ix, _, _ := buildFixture(40)
+	a := &Arena{}
+	queries := []string{"Alexander married the duchess", "prize for chemistry", "league standings", "", "document"}
+	perturb := func(id string) float64 { return 0.05 * det.Uniform("reuse", id) }
+	for round := 0; round < 3; round++ {
+		for _, q := range queries {
+			for _, k := range []int{1, 5, 40} {
+				qv := text.SparseEmbed(q)
+				want := ix.TopKSparse(qv, k, perturb, nil)
+				for _, got := range [][]Hit{
+					ix.TopKSparse(qv, k, perturb, a),
+					ix.TopK(text.Embed(q), k, perturb, a),
+				} {
+					if !reflect.DeepEqual(append([]Hit(nil), got...), want) {
+						t.Fatalf("round %d q=%q k=%d: arena-reuse result diverged", round, q, k)
+					}
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ const NumBuckets = 63
 // concurrent use. Recording is lock-free — one atomic add per bucket plus
 // one for the running sum — so it can sit on paths that must stay
 // mutex-free and allocation-free (the snapshot fact store's warm reads,
-// the pruned top-k). The zero value is ready to use.
+// the top-k). The zero value is ready to use.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	sum     atomic.Uint64 // total observed nanoseconds

@@ -81,9 +81,9 @@ func (m *mutexedFrontend) search(factID, query string, n int) ([]SERPItem, error
 	qv := m.queryVec(query)
 	key := det.NewKey("serp", query)
 	a := m.e.arena()
-	hits := p.idx.TopKPruned(qv, n, func(docID string) float64 {
+	hits := p.idx.TopKSparse(qv, n, func(docID string) float64 {
 		return serpJitterScale * key.Uniform(docID)
-	}, serpJitterScale, a)
+	}, a)
 	out := serpItems(p, hits)
 	m.e.release(a)
 	return out, nil

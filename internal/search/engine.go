@@ -137,9 +137,9 @@ type Engine struct {
 	hits, misses, evicted atomic.Int64
 
 	// arenas pools per-query top-k scratch state (accumulators, heap,
-	// candidate stamps), so warm queries allocate nothing.
+	// sort buffers), so warm queries allocate nothing.
 	arenas sync.Pool
-	// retrieval accumulates pruning counters across all queries.
+	// retrieval accumulates top-k work counters across all queries.
 	retrieval retrievalCounters
 }
 
@@ -167,11 +167,10 @@ type qvMap struct {
 	m map[string]text.SparseVector
 }
 
-// retrievalCounters aggregates the pruned path's work counters.
+// retrievalCounters aggregates the top-k work counters of Search.
 type retrievalCounters struct {
 	queries         atomic.Int64
 	postingsTouched atomic.Int64
-	blocksSkipped   atomic.Int64
 	docsScored      atomic.Int64
 }
 
@@ -197,7 +196,7 @@ type factEntry struct {
 // lazily-computed caches (scan vectors, sentence splits) and the lastUsed
 // clock is immutable after construction. scanVecs lazily holds the dense
 // embedding of every document for ScanSearch, the linear-scan reference
-// path; the production path never materialises them.
+// path; Search never materialises them.
 type factPool struct {
 	docs []*pooledDoc
 	byID map[string]*pooledDoc
@@ -504,11 +503,9 @@ func serpJitter(query, docID string) float64 {
 
 // Search implements Searcher. Ranking is cosine relevance of the query to
 // title+body with a small deterministic tie-break jitter, mimicking the
-// opaque ordering of a web SERP. Scoring runs over the impact-ordered
-// block postings with max-score/WAND early termination (index.TopKPruned):
-// blocks provably unable to reach the heap floor are never read, and the
-// jitter magnitude is folded into every upper bound, so results stay
-// byte-identical to the exhaustive paths (see IndexedSearch/ScanSearch).
+// opaque ordering of a web SERP. Scoring is exhaustive term-at-a-time
+// accumulation over the inverted index (index.TopKSparse), byte-identical
+// to the linear-scan reference ScanSearch.
 func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	start := time.Now()
 	if n <= 0 {
@@ -525,42 +522,15 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	// to serpJitter(query, docID).
 	key := det.NewKey("serp", query)
 	a := e.arena()
-	// key.Uniform is in [0,1), so the jitter never exceeds serpJitterScale
-	// — the perturbation bound the pruned path folds into its skips.
-	hits := p.idx.TopKPruned(qv, n, func(docID string) float64 {
-		return serpJitterScale * key.Uniform(docID)
-	}, serpJitterScale, a)
-	out := serpItems(p, hits)
-	e.retrieval.queries.Add(1)
-	e.retrieval.postingsTouched.Add(int64(a.Stats.PostingsTouched))
-	e.retrieval.blocksSkipped.Add(int64(a.Stats.BlocksSkipped))
-	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
-	e.release(a)
-	queryHist.Observe(time.Since(start))
-	return out, nil
-}
-
-// IndexedSearch is the exhaustive posting-list ranking the pruned path
-// replaced: term-at-a-time accumulation over every posting of every query
-// dimension, bounded-heap selection. Kept as the mid-rung of the golden
-// differential ladder (Search == IndexedSearch == ScanSearch, byte for
-// byte) and as the bench baseline the pruning win is measured against.
-func (e *Engine) IndexedSearch(factID, query string, n int) ([]SERPItem, error) {
-	if n <= 0 {
-		n = DefaultSERPSize
-	}
-	p, err := e.pool(factID)
-	if err != nil {
-		return nil, err
-	}
-	qv := e.queryVec(query)
-	key := det.NewKey("serp", query)
-	a := e.arena()
 	hits := p.idx.TopKSparse(qv, n, func(docID string) float64 {
 		return serpJitterScale * key.Uniform(docID)
 	}, a)
 	out := serpItems(p, hits)
+	e.retrieval.queries.Add(1)
+	e.retrieval.postingsTouched.Add(int64(a.Stats.PostingsTouched))
+	e.retrieval.docsScored.Add(int64(a.Stats.DocsScored))
 	e.release(a)
+	queryHist.Observe(time.Since(start))
 	return out, nil
 }
 
@@ -583,7 +553,7 @@ func serpItems(p *factPool, hits []index.Hit) []SERPItem {
 }
 
 // ScanSearch is the retired linear-scan ranking, kept as the differential
-// reference for the indexed path: cosine of the query against every pool
+// reference for Search: cosine of the query against every pool
 // document's dense embedding, full sort, truncate. Golden tests assert
 // Search == ScanSearch byte for byte, and the bench suite compares their
 // cost. Dense vectors are materialised lazily on first use and cached per
@@ -731,8 +701,8 @@ func (d *pooledDoc) payload() DocPayload {
 	}
 }
 
-// Stats summarises the snapshot's state and the pruned retrieval path's
-// cumulative work counters.
+// Stats summarises the snapshot's state and the cumulative work counters
+// of Search.
 type Stats struct {
 	// Facts is the number of known facts; CachedFacts of them are currently
 	// materialised (in-flight materialisations included).
@@ -749,9 +719,10 @@ type Stats struct {
 	Epoch           uint64 `json:"epoch"`
 	IngestedDocs    int    `json:"ingested_docs"`
 	CachedQueryVecs int    `json:"cached_query_vecs"`
-	// SearchQueries counts Search calls (the pruned production path);
-	// PostingsTouched, BlocksSkipped and DocsScored accumulate its pruning
-	// counters — the asymptotic story of every query served so far.
+	// SearchQueries counts Search calls; PostingsTouched and DocsScored
+	// accumulate their top-k work: the posting-list lengths read and the
+	// documents scored. BlocksSkipped is always 0, since retrieval is
+	// exhaustive; it stays for readers of the field.
 	SearchQueries   int64 `json:"search_queries"`
 	PostingsTouched int64 `json:"postings_touched"`
 	BlocksSkipped   int64 `json:"blocks_skipped"`
@@ -773,7 +744,6 @@ func (e *Engine) Stats() Stats {
 		Evicted:         e.evicted.Load(),
 		SearchQueries:   e.retrieval.queries.Load(),
 		PostingsTouched: e.retrieval.postingsTouched.Load(),
-		BlocksSkipped:   e.retrieval.blocksSkipped.Load(),
 		DocsScored:      e.retrieval.docsScored.Load(),
 	}
 	for _, p := range sn.pools {

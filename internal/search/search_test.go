@@ -159,12 +159,11 @@ func TestFactIDOfDoc(t *testing.T) {
 	}
 }
 
-// TestSearchIndexedMatchesScan is the golden differential ladder: for
-// several facts and queries, the pruned path (Search), the exhaustive
-// posting-list path (IndexedSearch) and the retired linear scan
+// TestSearchMatchesScan is the golden differential ladder: for several
+// facts and queries, the indexed path (Search) and the retired linear scan
 // (ScanSearch) must agree byte for byte — same documents, same order, same
 // float64 scores.
-func TestSearchIndexedMatchesScan(t *testing.T) {
+func TestSearchMatchesScan(t *testing.T) {
 	e, d := fixture(t)
 	if len(d.Facts) < 3 {
 		t.Fatalf("fixture has %d facts, need >= 3", len(d.Facts))
@@ -179,11 +178,7 @@ func TestSearchIndexedMatchesScan(t *testing.T) {
 		}
 		for _, q := range queries {
 			for _, n := range []int{1, 10, DefaultSERPSize, 10000} {
-				pruned, err := e.Search(f.ID, q, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				indexed, err := e.IndexedSearch(f.ID, q, n)
+				got, err := e.Search(f.ID, q, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,14 +186,14 @@ func TestSearchIndexedMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(pruned) != len(scan) || len(indexed) != len(scan) {
-					t.Fatalf("fact %s q=%q n=%d: pruned %d, indexed %d, scan %d results",
-						f.ID, q, n, len(pruned), len(indexed), len(scan))
+				if len(got) != len(scan) {
+					t.Fatalf("fact %s q=%q n=%d: search %d, scan %d results",
+						f.ID, q, n, len(got), len(scan))
 				}
 				for i := range scan {
-					if pruned[i] != scan[i] || indexed[i] != scan[i] {
-						t.Fatalf("fact %s q=%q n=%d result %d:\npruned  %+v\nindexed %+v\nscan    %+v",
-							f.ID, q, n, i, pruned[i], indexed[i], scan[i])
+					if got[i] != scan[i] {
+						t.Fatalf("fact %s q=%q n=%d result %d:\nsearch %+v\nscan   %+v",
+							f.ID, q, n, i, got[i], scan[i])
 					}
 				}
 			}
@@ -206,9 +201,8 @@ func TestSearchIndexedMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRetrievalCounters asserts the pruning counters surfaced via
-// Engine.Stats move when queries run, and that pruning actually skips work
-// on large result-free queries.
+// TestRetrievalCounters asserts the top-k work counters surfaced via
+// Engine.Stats move when queries run.
 func TestRetrievalCounters(t *testing.T) {
 	e, d := fixture(t)
 	f := d.Facts[0]

@@ -177,7 +177,6 @@ func TestMetricszExposition(t *testing.T) {
 		"factcheck_cache_len ",
 		"factcheck_queue_cap ",
 		"factcheck_retrieval_search_queries_total ",
-		"factcheck_retrieval_blocks_skipped_total ",
 		`factcheck_layer_latency_seconds_bucket{layer="lru",le=`,
 		`factcheck_layer_latency_seconds_count{layer="verify"}`,
 		`factcheck_endpoint_latency_seconds_count{endpoint="verify"}`,

@@ -661,8 +661,8 @@ type Stats struct {
 	Resilience resilience.Stats `json:"resilience"`
 
 	// Retrieval mirrors the search engine's cumulative counters — cache
-	// behaviour plus the pruned top-k's work accounting (queries, postings
-	// touched, blocks skipped, docs scored).
+	// behaviour plus the top-k's work accounting (queries, postings
+	// touched, docs scored).
 	Retrieval search.Stats `json:"retrieval"`
 
 	// Latency summarises every layer and endpoint histogram with at least
@@ -1416,10 +1416,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("factcheck_retrieval_epoch", "Corpus snapshot publication sequence number.", float64(r.Epoch))
 	p.Gauge("factcheck_retrieval_ingested_docs", "Live-ingested documents across all facts.", float64(r.IngestedDocs))
 	p.Gauge("factcheck_retrieval_cached_query_vecs", "Entries in the per-epoch query-vector memo.", float64(r.CachedQueryVecs))
-	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the pruned top-k path.", uint64(r.SearchQueries))
-	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the pruned top-k path.", uint64(r.PostingsTouched))
-	p.Counter("factcheck_retrieval_blocks_skipped_total", "Posting blocks skipped by max-score pruning.", uint64(r.BlocksSkipped))
-	p.Counter("factcheck_retrieval_docs_scored_total", "Documents fully scored by the pruned top-k path.", uint64(r.DocsScored))
+	p.Counter("factcheck_retrieval_search_queries_total", "Search calls served by the top-k path.", uint64(r.SearchQueries))
+	p.Counter("factcheck_retrieval_postings_touched_total", "Postings read by the top-k path.", uint64(r.PostingsTouched))
+	p.Counter("factcheck_retrieval_docs_scored_total", "Documents scored by the top-k path.", uint64(r.DocsScored))
 
 	obs.Default.WriteProm(p)
 }
