@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"factcheck/internal/accuracy"
-	"factcheck/internal/consensus"
 	"factcheck/internal/core"
 	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
@@ -936,24 +935,24 @@ func searchBench(b *testing.B, mode string) {
 
 // --- consensus engine benches ---------------------------------------------
 
-// benchmarkConsensus times one full consensus decision per iteration through
-// the serving layer's exported Consensus entry point, under one execution
-// mode and temperature. Config.Pace makes every simulated voter call really
-// occupy (a scaled-down copy of) its simulated latency, so the structural
-// difference between the modes is wall-clock measurable even though all
-// three produce identical verdicts:
-//
-//	serial    pays the SUM of the four voter latencies (the old loop)
-//	eager     pays the slowest voter (concurrent fan-out)
-//	adaptive  pays only the cheap quorum tier on unanimous facts,
-//	          escalating to the full ensemble only on disagreement
+// BenchmarkConsensus times one full consensus decision per iteration
+// through the serving layer's exported Consensus entry point: cost-ordered
+// tiers with early-stop majority voting. Config.Pace makes every simulated
+// voter call really occupy (a scaled-down copy of) its simulated latency,
+// so a decision pays the cheap quorum tier's critical path on unanimous
+// facts and escalates to the full ensemble only on disagreement.
 //
 // cold rotates through every fact once and rebuilds the service when the
 // instance is exhausted, so each timed decision pays full verification for
-// each dispatched vote; lru-warm primes every vote of a small working set
-// with an eager pass first, so each timed decision is pure engine + cache
-// cost (the steady state for a zipf-hot fact).
-func benchmarkConsensus(b *testing.B, mode consensus.Mode, warm bool) {
+// each dispatched vote; lru-warm primes a small working set with the same
+// call it times, so each timed decision is pure engine + cache cost (the
+// steady state for a zipf-hot fact).
+func BenchmarkConsensus(b *testing.B) {
+	b.Run("cold", func(b *testing.B) { benchmarkConsensus(b, false) })
+	b.Run("lru-warm", func(b *testing.B) { benchmarkConsensus(b, true) })
+}
+
+func benchmarkConsensus(b *testing.B, warm bool) {
 	cfg := core.Config{Scale: 0.05, Small: true, Pace: 0.02}
 	ctx := context.Background()
 	scfg := serve.Config{Rate: 1e12, Burst: 1e12, QueueDepth: 64, Workers: 8}
@@ -966,10 +965,10 @@ func benchmarkConsensus(b *testing.B, mode consensus.Mode, warm bool) {
 		if len(facts) > 16 {
 			facts = facts[:16]
 		}
-		// An eager pass fetches the full ensemble for every fact, so all
-		// four votes of the working set are LRU hits in the timed loop.
+		// The timed call consults the same votes on every pass, so one
+		// priming pass makes every consulted vote an LRU hit.
 		for _, f := range facts {
-			if _, err := svc.Consensus(ctx, f.ID, consensus.ModeEager); err != nil {
+			if _, err := svc.Consensus(ctx, f.ID); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -988,34 +987,13 @@ func benchmarkConsensus(b *testing.B, mode consensus.Mode, warm bool) {
 		}
 		f := facts[j%len(facts)]
 		j++
-		if _, err := svc.Consensus(ctx, f.ID, mode); err != nil {
+		if _, err := svc.Consensus(ctx, f.ID); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	svc.Drain()
 }
-
-// consensusBench enumerates one mode's temperatures.
-func consensusBench(b *testing.B, mode consensus.Mode) {
-	b.Run("cold", func(b *testing.B) { benchmarkConsensus(b, mode, false) })
-	b.Run("lru-warm", func(b *testing.B) { benchmarkConsensus(b, mode, true) })
-}
-
-// BenchmarkConsensusSerial times the retired one-vote-at-a-time loop: the
-// latency baseline for the consensus engine.
-func BenchmarkConsensusSerial(b *testing.B) { consensusBench(b, consensus.ModeSerial) }
-
-// BenchmarkConsensusEager times the concurrent full-ensemble fan-out; the
-// gap versus BenchmarkConsensusSerial is the critical-path win.
-func BenchmarkConsensusEager(b *testing.B) { consensusBench(b, consensus.ModeEager) }
-
-// BenchmarkConsensusAdaptive times the production path: cost-ordered tiers
-// with early-stop majority voting. The gap versus BenchmarkConsensusEager is
-// the early-stop win (most facts are unanimous, so the expensive tier is
-// usually skipped); verdicts stay identical across all three modes
-// (differential-tested in internal/serve).
-func BenchmarkConsensusAdaptive(b *testing.B) { consensusBench(b, consensus.ModeAdaptive) }
 
 // BenchmarkSearchScan times the retired linear-scan ranking (O(pool·dims)
 // cosine + full sort).

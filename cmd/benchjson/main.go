@@ -21,10 +21,10 @@
 // ratios between comparable variants of one benchmark group — the shape of
 // this repo's differential perf benches. A variant is recognised either as
 // a leaf sub-benchmark (BenchmarkRerankDocs/sparse) or as a camel-case
-// suffix on the top-level name (BenchmarkSearchPruned/corpus10x), so
+// suffix on the top-level name (BenchmarkSearchIndexed/corpus10x), so
 // scale-suffixed groups pair up too. Within a family every lower-ranked
-// variant is a baseline for every higher-ranked one: dense < sparse, and
-// scan < indexed < pruned.
+// variant is a baseline for every higher-ranked one: dense < sparse,
+// scan < indexed and mutexed < snapshot.
 package main
 
 import (
@@ -223,15 +223,14 @@ func splitProcs(name string) (string, int) {
 // variants from different families never pair.
 var variantFamilies = [][]string{
 	{"dense", "sparse"},
-	{"scan", "indexed", "pruned"},
-	{"serial", "eager", "adaptive"},
+	{"scan", "indexed"},
 	{"mutexed", "snapshot"},
 }
 
 // splitVariant extracts the variant from a benchmark name. Two spellings
 // are recognised: a variant leaf sub-benchmark (BenchmarkRerankDocs/sparse
 // -> group BenchmarkRerankDocs) and a camel-case suffix on the top-level
-// segment (BenchmarkSearchPruned/corpus10x -> group
+// segment (BenchmarkSearchIndexed/corpus10x -> group
 // BenchmarkSearch/corpus10x), which is how scale-suffixed benchmarks keep
 // their scale in the group key.
 func splitVariant(name string) (group, variant string, ok bool) {

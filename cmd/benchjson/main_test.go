@@ -58,8 +58,8 @@ func TestDeriveSpeedups(t *testing.T) {
 		t.Fatalf("derived %d speedups, want 2: %+v", len(doc.Speedups), doc.Speedups)
 	}
 	// Sorted by group name: ColdCell before RerankDocs. The lone
-	// BenchmarkSearchIndexed/par1 has no scan or pruned sibling, so it
-	// yields no pair.
+	// BenchmarkSearchIndexed/par1 has no scan sibling, so it yields no
+	// pair.
 	cc := doc.Speedups[0]
 	if cc.Benchmark != "BenchmarkColdCell" || cc.Baseline != "dense" || cc.Variant != "sparse" {
 		t.Fatalf("first speedup is %+v", cc)
@@ -78,14 +78,17 @@ func TestSplitVariant(t *testing.T) {
 		{"BenchmarkRerankDocs/sparse", "BenchmarkRerankDocs", "sparse", true},
 		{"BenchmarkSearchScan/corpus10x", "BenchmarkSearch/corpus10x", "scan", true},
 		{"BenchmarkSearchIndexed/corpus10x", "BenchmarkSearch/corpus10x", "indexed", true},
-		{"BenchmarkSearchPruned/corpus100x", "BenchmarkSearch/corpus100x", "pruned", true},
+		{"BenchmarkSearchScan/corpus100x", "BenchmarkSearch/corpus100x", "scan", true},
 		{"BenchmarkSearchIndexed/par1", "BenchmarkSearch/par1", "indexed", true},
-		{"BenchmarkSearchPruned", "BenchmarkSearch", "pruned", true},
-		{"BenchmarkTopKWarm/pruned", "BenchmarkTopKWarm", "pruned", true},
-		{"BenchmarkConsensusSerial/cold", "BenchmarkConsensus/cold", "serial", true},
-		{"BenchmarkConsensusEager/cold", "BenchmarkConsensus/cold", "eager", true},
-		{"BenchmarkConsensusAdaptive/warm", "BenchmarkConsensus/warm", "adaptive", true},
-		{"BenchmarkDecide/adaptive", "BenchmarkDecide", "adaptive", true},
+		{"BenchmarkSearchIndexed", "BenchmarkSearch", "indexed", true},
+		{"BenchmarkTopKWarm/sparse", "BenchmarkTopKWarm", "sparse", true},
+		{"BenchmarkSearchWarmParallel/snapshot", "BenchmarkSearchWarmParallel", "snapshot", true},
+		// Retired variants are no longer recognised.
+		{"BenchmarkSearchPruned/corpus100x", "", "", false},
+		{"BenchmarkTopKWarm/pruned", "", "", false},
+		{"BenchmarkConsensusAdaptive/cold", "", "", false},
+		{"BenchmarkDecide/eager", "", "", false},
+		{"BenchmarkConsensus/lru-warm", "", "", false},
 		{"BenchmarkOverlap", "", "", false},
 		{"BenchmarkScan", "", "", false}, // bare "Benchmark" is not a group
 		{"BenchmarkColdCell/other", "", "", false},
@@ -99,13 +102,15 @@ func TestSplitVariant(t *testing.T) {
 	}
 }
 
-// TestDeriveSpeedupTriples: a scan/indexed/pruned triple at two corpus
-// scales yields every ordered pair per scale, and families never mix.
+// TestDeriveSpeedupTriples: a leftover scan/indexed/pruned triple (the
+// pruned path is retired) pairs only scan with indexed, once per corpus
+// scale; the pruned lines pair with nothing.
 func TestDeriveSpeedupTriples(t *testing.T) {
 	const triple = `BenchmarkSearchScan/corpus1x-4      10   100000 ns/op
 BenchmarkSearchIndexed/corpus1x-4   10    40000 ns/op
 BenchmarkSearchPruned/corpus1x-4    10    20000 ns/op
 BenchmarkSearchScan/corpus10x-4     10  1000000 ns/op
+BenchmarkSearchIndexed/corpus10x-4  10   200000 ns/op
 BenchmarkSearchPruned/corpus10x-4   10   100000 ns/op
 BenchmarkTopKWarm/indexed-4        100    20000 ns/op	0 B/op	0 allocs/op
 BenchmarkTopKWarm/pruned-4         100    10000 ns/op	0 B/op	0 allocs/op
@@ -115,11 +120,8 @@ BenchmarkTopKWarm/pruned-4         100    10000 ns/op	0 B/op	0 allocs/op
 		t.Fatal(err)
 	}
 	want := []Speedup{
-		{"BenchmarkSearch/corpus10x", "scan", "pruned", 1000000, 100000, 10},
+		{"BenchmarkSearch/corpus10x", "scan", "indexed", 1000000, 200000, 5},
 		{"BenchmarkSearch/corpus1x", "scan", "indexed", 100000, 40000, 2.5},
-		{"BenchmarkSearch/corpus1x", "scan", "pruned", 100000, 20000, 5},
-		{"BenchmarkSearch/corpus1x", "indexed", "pruned", 40000, 20000, 2},
-		{"BenchmarkTopKWarm", "indexed", "pruned", 20000, 10000, 2},
 	}
 	if len(doc.Speedups) != len(want) {
 		t.Fatalf("derived %d speedups, want %d: %+v", len(doc.Speedups), len(want), doc.Speedups)
@@ -158,24 +160,29 @@ BenchmarkSearchWarmParallel/snapshot-8    100   20000 ns/op
 	}
 }
 
-// TestDeriveSpeedupConsensusFamily: the serial/eager/adaptive family pairs
-// within itself (serial as the ultimate baseline) and never against the
-// retrieval families.
+// TestDeriveSpeedupConsensusFamily: the retired serial/eager/adaptive
+// consensus benches no longer form a family and derive no speedups, while
+// the surviving families in the same input pair within themselves and
+// never across families.
 func TestDeriveSpeedupConsensusFamily(t *testing.T) {
 	const lines = `BenchmarkConsensusSerial/cold-4     10   900000 ns/op
 BenchmarkConsensusEager/cold-4      10   300000 ns/op
 BenchmarkConsensusAdaptive/cold-4   10   150000 ns/op
-BenchmarkConsensusAdaptive/warm-4  100    10000 ns/op
-BenchmarkSearchScan/corpus1x-4      10   100000 ns/op
+BenchmarkConsensus/lru-warm-4      100    10000 ns/op
+BenchmarkColdCell/dense-4             5      200 ns/op
+BenchmarkColdCell/sparse-4            5      100 ns/op
+BenchmarkRerankDocs/dense-4          10     3000 ns/op
+BenchmarkRerankDocs/indexed-4        10     1000 ns/op
+BenchmarkSearchScan/corpus1x-4       10   100000 ns/op
+BenchmarkSearchIndexed/corpus1x-4    10    50000 ns/op
 `
 	doc, err := Parse(strings.NewReader(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Speedup{
-		{"BenchmarkConsensus/cold", "serial", "eager", 900000, 300000, 3},
-		{"BenchmarkConsensus/cold", "serial", "adaptive", 900000, 150000, 6},
-		{"BenchmarkConsensus/cold", "eager", "adaptive", 300000, 150000, 2},
+		{"BenchmarkColdCell", "dense", "sparse", 200, 100, 2},
+		{"BenchmarkSearch/corpus1x", "scan", "indexed", 100000, 50000, 2},
 	}
 	if len(doc.Speedups) != len(want) {
 		t.Fatalf("derived %d speedups, want %d: %+v", len(doc.Speedups), len(want), doc.Speedups)

@@ -16,9 +16,6 @@
 //	-methods  comma-separated method list (DKA,GIV-Z,GIV-F,RAG)
 //	-datasets comma-separated dataset list (FactBench,YAGO,DBpedia)
 //	-par      grid worker-pool parallelism (default GOMAXPROCS)
-//	-consensus consensus engine mode for tables 6/7: serial, eager or
-//	          adaptive (default eager — the run-everything golden baseline;
-//	          verdicts are identical in every mode)
 //	-progress stream per-cell completion to stderr as the grid drains
 //	-store    result-store directory: completed grid cells are persisted
 //	          and reused, so interrupted runs resume where they died and
@@ -48,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"factcheck/internal/consensus"
 	"factcheck/internal/core"
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
@@ -73,7 +69,6 @@ func run(args []string) error {
 	par := fs.Int("par", 0, "grid worker-pool parallelism (default GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "stream per-cell completion to stderr")
 	storeDir := fs.String("store", "", "result store directory (resume interrupted runs, reuse across config deltas)")
-	consensusFlag := fs.String("consensus", "eager", "consensus engine mode for tables 6/7 (serial, eager or adaptive; verdicts are identical, adaptive reports decided-at latency)")
 	docsFile := fs.String("docs", "", "JSONL live-document file to ingest before the grid runs")
 	ingestBatches := fs.Int("ingest-batches", 1, "sequential ingestion batches for -docs (>1 exercises the incremental fold path)")
 	profFlags := prof.Register(fs)
@@ -92,10 +87,6 @@ func run(args []string) error {
 	artifacts := fs.Args()
 	if len(artifacts) == 0 {
 		artifacts = []string{"all"}
-	}
-	consensusMode, err := consensus.ParseMode(*consensusFlag)
-	if err != nil {
-		return fmt.Errorf("-consensus: %w", err)
 	}
 
 	cfg := core.Config{Scale: *scale, Small: *small, Parallelism: *par}
@@ -136,7 +127,10 @@ func run(args []string) error {
 	needConsensus := all || want["table6"] || want["table7"] || want["figure2"]
 
 	ctx := context.Background()
-	var rs *core.ResultSet
+	var (
+		rs  *core.ResultSet
+		err error
+	)
 	if needRun {
 		t := time.Now()
 		fmt.Fprintf(os.Stderr, "running verification grid...\n")
@@ -164,7 +158,7 @@ func run(args []string) error {
 	}
 	var rep *core.ConsensusReport
 	if needConsensus {
-		rep, err = b.RunAllConsensusMode(ctx, rs, consensusMode)
+		rep, err = b.RunAllConsensus(ctx, rs)
 		if err != nil {
 			return err
 		}

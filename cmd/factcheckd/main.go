@@ -7,7 +7,7 @@
 //	factcheckd [-addr :8095] [-scale 0.1] [-small] [-par N] [-store DIR]
 //	           [-queue 64] [-workers N] [-cache 65536]
 //	           [-rate 50] [-burst 100] [-maxbatch 64] [-fill=true]
-//	           [-consensus adaptive] [-ingestqueue 16]
+//	           [-ingestqueue 16]
 //	           [-request-timeout 0] [-read-timeout 0]
 //	           [-fault SPEC]... [-fault-seed S]
 //	           [-retries 3] [-retry-base 5ms] [-breaker-threshold 5]
@@ -23,7 +23,7 @@
 //
 // Endpoints: POST /v1/verify, POST /v1/verify/batch, POST /v1/documents,
 // GET /v1/verdict/{dataset}/{method}/{model}/{fact},
-// GET /v1/consensus/{fact}?mode=serial|eager|adaptive, GET /v1/facts,
+// GET /v1/consensus/{fact}, GET /v1/facts,
 // GET /v1/trace/{id}, GET /healthz, GET /statsz, GET /metricsz.
 //
 // -trace-sample enables per-request tracing (see internal/obs): sampled
@@ -55,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"factcheck/internal/consensus"
 	"factcheck/internal/core"
 	"factcheck/internal/fault"
 	"factcheck/internal/prof"
@@ -121,7 +120,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.resil.ProbeEvery, "breaker-probe-every", 0, "while open, admit every Nth rejected call as a half-open probe (default 4)")
 	fs.IntVar(&o.resil.ProbeSuccesses, "breaker-probes", 0, "consecutive probe successes that close the breaker again (default 2)")
 	fill := fs.Bool("fill", true, "persist on-demand verdicts back to the store via background whole-cell fills")
-	consensusMode := fs.String("consensus", "", "default /v1/consensus execution mode: serial, eager or adaptive (default adaptive; ?mode= overrides per request)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -136,13 +134,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.cfg.TraceRing < 0 {
 		return o, fmt.Errorf("-trace-ring %d must be >= 0", o.cfg.TraceRing)
-	}
-	if *consensusMode != "" {
-		m, err := consensus.ParseMode(*consensusMode)
-		if err != nil {
-			return o, fmt.Errorf("-consensus: %w", err)
-		}
-		o.cfg.ConsensusMode = m
 	}
 	o.cfg.FillCells = *fill
 	return o, nil

@@ -6,7 +6,7 @@
 //
 //	loadgen [-addr http://localhost:8095] [-mix uniform] [-n 1000] [-c 8]
 //	        [-seed 1] [-method DKA] [-models m1,m2] [-batch 16]
-//	        [-zipf 1.2] [-consensus adaptive] [-digest FILE]
+//	        [-zipf 1.2] [-digest FILE]
 //	        [-scenario FILE] [-server-timing]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -17,11 +17,10 @@
 //	         hot-fact workload that exercises the verdict LRU and
 //	         singleflight coalescing
 //	batch    the same uniform draw grouped into /v1/verify/batch calls
-//	consensus  GET /v1/consensus lookups drawn uniformly, executed under
-//	         -consensus (serial, eager or adaptive); digest lines carry only
-//	         the mode-independent verdict (final/tie/gold), so an eager run
-//	         and an adaptive run over the same plan must digest identically
-//	         — the early-stop engine's cross-mode equivalence gate
+//	consensus  GET /v1/consensus lookups drawn uniformly; digest lines
+//	         carry only the verdict (final/tie/gold), so the same plan run
+//	         at any -c must digest identically — the early-stop engine's
+//	         determinism gate
 //	ingest   uniform verifies with every -ingestevery'th job replaced by a
 //	         POST /v1/documents batch (202 = accepted), plus one seeded
 //	         oversized probe that must be refused with 413 — live ingestion
@@ -107,7 +106,6 @@ type target struct {
 type job struct {
 	reqs          []serve.VerifyRequest
 	consensusFact string
-	consensusMode string
 	ingest        []search.IngestDoc
 	stable        bool
 	expect413     bool
@@ -115,9 +113,9 @@ type job struct {
 }
 
 // buildPlan expands a mix into the exact request sequence: pure function
-// of (mix, seed, targets, models, method, n, batch, zipfS, consensusMode),
+// of (mix, seed, targets, models, method, n, batch, zipfS, ingestEvery),
 // so a plan replays identically across runs and machines.
-func buildPlan(mix string, seed int64, targets []target, models []string, method string, n, batchSize int, zipfS float64, consensusMode string, ingestEvery int) ([]job, error) {
+func buildPlan(mix string, seed int64, targets []target, models []string, method string, n, batchSize int, zipfS float64, ingestEvery int) ([]job, error) {
 	type pair struct{ dataset, fact string }
 	var pairs []pair
 	for _, t := range targets {
@@ -176,14 +174,9 @@ func buildPlan(mix string, seed int64, targets []target, models []string, method
 			done += size
 		}
 	case "consensus":
-		switch consensusMode {
-		case "serial", "eager", "adaptive":
-		default:
-			return nil, fmt.Errorf("-consensus %q (want serial, eager or adaptive)", consensusMode)
-		}
 		for i := 0; i < n; i++ {
 			p := pairs[rng.Intn(len(pairs))]
-			jobs = append(jobs, job{consensusFact: p.fact, consensusMode: consensusMode})
+			jobs = append(jobs, job{consensusFact: p.fact})
 		}
 	case "ingest":
 		if ingestEvery < 2 {
@@ -292,10 +285,9 @@ func verdictKeyLine(v *serve.VerdictResponse) (string, string) {
 }
 
 // consensusKeyLine canonicalises a consensus answer for the digest. Only
-// the mode-independent fields enter the line: Final, Tie and Gold are
-// identical whichever execution strategy served them, so an eager run and
-// an adaptive run over one plan digest identically — while a verdict
-// regression in either engine path flips the digest.
+// the decision enters the line: Final, Tie and Gold. Which votes were
+// consulted is execution detail (it moves with unavailable voters), so it
+// stays out, while a verdict regression flips the digest.
 func consensusKeyLine(v *serve.ConsensusResponse) (string, string) {
 	key := fmt.Sprintf("consensus/%s/%s", v.Dataset, v.FactID)
 	line := fmt.Sprintf("final=%v tie=%v gold=%v", v.Final, v.Tie, v.Gold)
@@ -324,7 +316,7 @@ func (o *outcome) checkRetryAfter(resp *http.Response) {
 func doConsensus(client *http.Client, addr string, j job, opt jobOpts) outcome {
 	o := outcome{sources: map[string]int{}, verdicts: map[string]string{}}
 	start := time.Now()
-	resp, err := send(client, "GET", addr+"/v1/consensus/"+j.consensusFact+"?mode="+j.consensusMode, "", nil, opt.timing)
+	resp, err := send(client, "GET", addr+"/v1/consensus/"+j.consensusFact, "", nil, opt.timing)
 	o.latency = time.Since(start)
 	if err != nil {
 		o.violation = "transport: " + err.Error()
@@ -354,10 +346,6 @@ func doConsensus(client *http.Client, addr string, j job, opt jobOpts) outcome {
 	var v serve.ConsensusResponse
 	if err := json.Unmarshal(data, &v); err != nil {
 		o.violation = "malformed consensus response: " + err.Error()
-		return o
-	}
-	if v.Mode != j.consensusMode {
-		o.violation = fmt.Sprintf("consensus mode %q served for requested %q", v.Mode, j.consensusMode)
 		return o
 	}
 	key, line := consensusKeyLine(&v)
@@ -658,7 +646,7 @@ func run(args []string, out io.Writer) error {
 	mix, n, c, seed := *fs.mix, *fs.n, *fs.c, *fs.seed
 	method, models := *fs.method, strings.Split(*fs.models, ",")
 	batch, zipfS := *fs.batch, *fs.zipfS
-	consensusMode, ingestEvery := *fs.consensus, *fs.ingestEvery
+	ingestEvery := *fs.ingestEvery
 	timeout := *fs.timeout
 	var sc *Scenario
 	if *fs.scenario != "" {
@@ -690,9 +678,6 @@ func run(args []string, out io.Writer) error {
 		if sc.ZipfS > 0 {
 			zipfS = sc.ZipfS
 		}
-		if sc.Consensus != "" {
-			consensusMode = sc.Consensus
-		}
 		if sc.IngestEvery > 0 {
 			ingestEvery = sc.IngestEvery
 		}
@@ -718,7 +703,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	jobs, err := buildPlan(mix, seed, targets, models, method, n, batch, zipfS, consensusMode, ingestEvery)
+	jobs, err := buildPlan(mix, seed, targets, models, method, n, batch, zipfS, ingestEvery)
 	if err != nil {
 		return err
 	}
@@ -845,9 +830,8 @@ func run(args []string, out io.Writer) error {
 	} else {
 		fmt.Fprintf(out, "retrieval: queries=%d postings_touched=%d docs_scored=%d\n",
 			st.Retrieval.SearchQueries, st.Retrieval.PostingsTouched, st.Retrieval.DocsScored)
-		fmt.Fprintf(out, "consensus: requests=%d dispatched=%d skipped=%d escalations=%d arbiters=%d\n",
-			st.ConsensusRequests, st.ConsensusDispatched, st.ConsensusSkipped,
-			st.ConsensusEscalations, st.ConsensusArbiters)
+		fmt.Fprintf(out, "consensus: requests=%d dispatched=%d skipped=%d escalations=%d\n",
+			st.ConsensusRequests, st.ConsensusDispatched, st.ConsensusSkipped, st.ConsensusEscalations)
 	}
 	fmt.Fprintf(out, "digest: %016x (%d distinct verdicts)\n", digest, len(verdicts))
 	if *fs.digest != "" {
@@ -898,7 +882,6 @@ type flags struct {
 	models       *string
 	batch        *int
 	zipfS        *float64
-	consensus    *string
 	ingestEvery  *int
 	scenario     *string
 	digest       *string
@@ -920,7 +903,6 @@ func newFlagSet() *flags {
 		models:       fs.String("models", strings.Join(llm.BenchmarkModels, ","), "comma-separated models to draw from"),
 		batch:        fs.Int("batch", 16, "requests per batch call (batch mix)"),
 		zipfS:        fs.Float64("zipf", 1.2, "zipf skew exponent (zipf mix; > 1)"),
-		consensus:    fs.String("consensus", "adaptive", "consensus execution mode (consensus mix): serial, eager or adaptive"),
 		ingestEvery:  fs.Int("ingestevery", 8, "replace every Nth job with a document ingestion (ingest mix; >= 2)"),
 		scenario:     fs.String("scenario", "", "run a named chaos scenario from this JSON file (see scenarios/); its fields override plan flags"),
 		digest:       fs.String("digest", "", "write the verdict digest to this file"),

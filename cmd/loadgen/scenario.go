@@ -31,7 +31,6 @@ type Scenario struct {
 	Models      []string `json:"models"`
 	Batch       int      `json:"batch"`
 	ZipfS       float64  `json:"zipf"`
-	Consensus   string   `json:"consensus"`
 	IngestEvery int      `json:"ingest_every"`
 	TimeoutMS   int      `json:"timeout_ms"`
 

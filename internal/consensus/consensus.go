@@ -27,7 +27,7 @@ type Vote struct {
 // size: strictly more than half the votes true -> true, an exact even
 // split -> tie, otherwise false. Over the paper's four voters this is
 // exactly §3.3 (sum >= 3 -> true, sum == 2 -> tie); odd ensembles and the
-// partial tiers of the adaptive engine can never tie. An empty vote set is
+// partial tiers of the Engine can never tie. An empty vote set is
 // no consensus at all: (false, false), not a tie.
 func Majority(votes []Vote) (verdict bool, tie bool) {
 	sum := 0
@@ -54,9 +54,9 @@ func Majority(votes []Vote) (verdict bool, tie bool) {
 // cast: a side is settled the moment its count exceeds the dissenting
 // count plus every vote still outstanding, so no assignment of the
 // remaining votes can flip the verdict or force a tie. When settled,
-// verdict is the final majority verdict. This is the early-stop bound of
-// the adaptive engine; note a tie is never settled early — an even split
-// only exists once every voter has spoken.
+// verdict is the final majority verdict. This is the Engine's early-stop
+// bound; note a tie is never settled early — an even split only exists
+// once every voter has spoken.
 func Settled(trueVotes, falseVotes, total int) (verdict bool, settled bool) {
 	remaining := total - trueVotes - falseVotes
 	if remaining < 0 {
@@ -77,31 +77,26 @@ type Decision struct {
 	Gold   bool
 	// Final is the consensus verdict after any tie-breaking.
 	Final bool
-	// Tie reports whether the vote split evenly and an arbiter was used.
+	// Tie reports whether the vote split evenly (and, under Decide, that
+	// the arbiter was used).
 	Tie bool
 	// ArbiterVerdict is the judge's vote when Tie (false otherwise).
 	ArbiterVerdict bool
 	Votes          []Vote
 	// Latency is the consensus response time: the paper notes consensus
 	// parallelises, so it is the slowest member (plus the arbiter on ties).
-	// Under the adaptive engine it is the decided-at time instead — the sum
-	// of per-tier critical paths actually waited on, never charging for
-	// votes that were skipped.
+	// Under the Engine it is the decided-at time instead — the sum of
+	// per-tier critical paths actually waited on, never charging for votes
+	// that were skipped.
 	LatencySeconds float64
-	// Mode tags which execution strategy produced the decision (empty for
-	// the package-level Decide baseline).
-	Mode Mode
-	// Skipped lists the voters the early-stop planner proved unnecessary,
-	// in dispatch order. Nil unless votes were skipped; always nil outside
-	// ModeAdaptive.
+	// Skipped lists the voters the Engine's early stop proved unnecessary,
+	// in dispatch order. Nil unless votes were skipped; always nil from the
+	// package-level Decide.
 	Skipped []string
-	// Unavailable lists voters dropped from the ensemble because their
-	// dependency was down (Engine.Degrade), in dispatch order. The
-	// decision settled over the survivors.
+	// Unavailable lists voters the Engine dropped from the ensemble because
+	// their dependency was down, in dispatch order. The decision settled
+	// over the survivors.
 	Unavailable []string
-	// TierLatencySeconds is the critical-path latency of each dispatched
-	// tier, in dispatch order (nil for the package-level Decide baseline).
-	TierLatencySeconds []float64
 }
 
 // Arbiter breaks ties.
@@ -132,8 +127,8 @@ func (a *ModelArbiter) Break(ctx context.Context, f *dataset.Fact) (strategy.Ver
 }
 
 // Decide combines the per-model outcomes for one fact into a decision,
-// consulting the arbiter only on ties. outcomes must all refer to the same
-// fact.
+// consulting the arbiter only on ties: the path for votes already in hand
+// (the offline tables 6/7). outcomes must all refer to the same fact.
 func Decide(ctx context.Context, f *dataset.Fact, outcomes []strategy.Outcome, arb Arbiter) (Decision, error) {
 	d := Decision{FactID: f.ID, Gold: f.Gold}
 	maxLat := 0.0

@@ -23,9 +23,11 @@ type retryableErr struct{}
 func (retryableErr) Error() string        { return "flaky voter" }
 func (retryableErr) FaultTransient() bool { return true }
 
+// TestEngineDegradeDropsUnavailableVoter: an unavailable voter casts no
+// vote and the survivors decide; a 1-1 survivor quorum escalates as usual.
 func TestEngineDegradeDropsUnavailableVoter(t *testing.T) {
 	f := synthFact()
-	verdicts := map[string]strategy.Verdict{"a": strategy.True, "c": strategy.True, "d": strategy.True}
+	verdicts := map[string]strategy.Verdict{"a": strategy.True, "c": strategy.False, "d": strategy.True}
 	fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
 		if model == "b" {
 			return strategy.Outcome{}, unavailableErr{}
@@ -33,7 +35,7 @@ func TestEngineDegradeDropsUnavailableVoter(t *testing.T) {
 		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: verdicts[model]}, nil
 	}
 
-	eng := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true, Degrade: true}
+	eng := &Engine{Plan: fourPlan()}
 	dec, st, err := eng.Decide(context.Background(), f, fetch)
 	if err != nil {
 		t.Fatal(err)
@@ -42,21 +44,15 @@ func TestEngineDegradeDropsUnavailableVoter(t *testing.T) {
 		t.Fatalf("unavailable = %v, want [b]", dec.Unavailable)
 	}
 	if len(dec.Votes) != 3 || !dec.Final || dec.Tie {
-		t.Fatalf("decision = %+v, want a 3-0 survivor majority", dec)
+		t.Fatalf("decision = %+v, want a 2-1 survivor majority", dec)
 	}
 	for _, v := range dec.Votes {
 		if v.Model == "b" {
 			t.Fatal("the unavailable voter cast a vote")
 		}
 	}
-	if st.Dispatched != 4 {
-		t.Fatalf("stats = %+v, want all 4 dispatched", st)
-	}
-
-	// Without Degrade the same outage fails the whole decision.
-	strict := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
-	if _, _, err := strict.Decide(context.Background(), f, fetch); err == nil {
-		t.Fatal("non-degrading engine accepted an unavailable voter")
+	if st.Dispatched != 4 || st.Escalations != 1 {
+		t.Fatalf("stats = %+v, want all 4 dispatched over one escalation", st)
 	}
 }
 
@@ -72,7 +68,7 @@ func TestEngineDegradeShrinksSettledBound(t *testing.T) {
 		}
 		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: verdicts[model]}, nil
 	}
-	eng := &Engine{Plan: fourPlan(), Mode: ModeAdaptive, AllowTie: true, Degrade: true}
+	eng := &Engine{Plan: fourPlan()}
 	dec, st, err := eng.Decide(context.Background(), f, fetch)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +94,7 @@ func TestEngineDegradeAllUnavailable(t *testing.T) {
 	fetch := func(context.Context, string) (strategy.Outcome, error) {
 		return strategy.Outcome{}, unavailableErr{}
 	}
-	eng := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true, Degrade: true}
+	eng := &Engine{Plan: fourPlan()}
 	_, _, err := eng.Decide(context.Background(), f, fetch)
 	if err == nil {
 		t.Fatal("empty surviving ensemble decided")
@@ -110,7 +106,7 @@ func TestEngineDegradeAllUnavailable(t *testing.T) {
 
 // TestEngineDegradeTransientStillErrors: only dependency unavailability is
 // survivable — a transient (retry-exhausted) voter failure errors the
-// decision even with Degrade on.
+// decision.
 func TestEngineDegradeTransientStillErrors(t *testing.T) {
 	f := synthFact()
 	fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
@@ -119,7 +115,7 @@ func TestEngineDegradeTransientStillErrors(t *testing.T) {
 		}
 		return strategy.Outcome{FactID: f.ID, Model: model, Verdict: strategy.True}, nil
 	}
-	eng := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true, Degrade: true}
+	eng := &Engine{Plan: fourPlan()}
 	if _, _, err := eng.Decide(context.Background(), f, fetch); err == nil {
 		t.Fatal("degrading engine swallowed a transient voter failure")
 	}

@@ -14,54 +14,18 @@ import (
 	"factcheck/internal/strategy"
 )
 
-// tierHists caches per-tier wave histograms so Decide records with a
-// single atomic add per wave. Plans never exceed a handful of tiers (tier
-// 0 is a quorum, each escalation adds one voter); deeper waves collapse
-// into the last slot.
-var tierHists = func() (h [8]*obs.Histogram) {
+// tierHists and tierSpans cache the per-tier wave histograms and span
+// names, so Decide records each wave with a single atomic add and builds
+// no strings. Plans never exceed a handful of tiers (tier 0 is a quorum,
+// each escalation adds one voter); deeper waves collapse into the last
+// slot.
+var tierHists, tierSpans = func() (h [8]*obs.Histogram, names [8]string) {
 	for i := range h {
-		h[i] = obs.Layer("consensus_tier" + strconv.Itoa(i))
+		names[i] = "consensus_tier" + strconv.Itoa(i)
+		h[i] = obs.Layer(names[i])
 	}
 	return
 }()
-
-func tierHist(wi int) *obs.Histogram {
-	if wi >= len(tierHists) {
-		wi = len(tierHists) - 1
-	}
-	return tierHists[wi]
-}
-
-// Mode names an execution strategy of the consensus engine. All modes
-// produce identical Final/Tie verdicts for a given voter set — an
-// execution strategy changes when votes are fetched, never what they
-// decide — which is what keeps early stopping out of the result-store
-// fingerprint.
-type Mode string
-
-const (
-	// ModeSerial fetches every vote one at a time, in plan order: the
-	// retired pre-engine behaviour, kept as the wall-clock baseline.
-	ModeSerial Mode = "serial"
-	// ModeEager fetches every vote concurrently and waits for all of
-	// them: the run-everything golden baseline (the package-level Decide
-	// semantics, fanned out).
-	ModeEager Mode = "eager"
-	// ModeAdaptive dispatches the plan's cost-ordered tiers, checking the
-	// Settled bound between tiers: once the majority is mathematically
-	// decided the remaining voters are skipped, and expensive voters run
-	// only when the cheap quorum disagrees.
-	ModeAdaptive Mode = "adaptive"
-)
-
-// ParseMode validates a mode string (e.g. a ?mode= query parameter).
-func ParseMode(s string) (Mode, error) {
-	switch m := Mode(s); m {
-	case ModeSerial, ModeEager, ModeAdaptive:
-		return m, nil
-	}
-	return "", fmt.Errorf("consensus: unknown mode %q (want serial, eager or adaptive)", s)
-}
 
 // Plan is a deterministic dispatch schedule over a voter set. Build it
 // with NewPlan; the zero value is an empty plan.
@@ -105,9 +69,9 @@ func NewPlan(voters []string, cost func(string) float64) Plan {
 }
 
 // Fetch resolves one voter's outcome for the fact under decision. The
-// engine calls it concurrently within a wave (except under ModeSerial);
-// implementations route it through whatever verdict stack they own (the
-// serving layer's LRU/store/executor, a precomputed result set, ...).
+// engine calls it concurrently within a wave; implementations route it
+// through whatever verdict stack they own (the serving layer's
+// LRU/store/executor, a precomputed result set, ...).
 type Fetch func(ctx context.Context, model string) (strategy.Outcome, error)
 
 // RunStats counts the work one Decide actually performed, for the serving
@@ -118,57 +82,42 @@ type RunStats struct {
 	Skipped    int
 	// Escalations counts tiers dispatched beyond the first.
 	Escalations int
-	// ArbiterCalls counts tie-breaks.
-	ArbiterCalls int
 }
 
-// Engine decides facts under one plan and mode.
+// Engine decides facts whose votes are fetched on demand. It dispatches
+// the plan's cost-ordered tiers and checks the Settled bound between
+// them: once the majority is mathematically decided the remaining voters
+// are skipped, and expensive voters run only when the cheap quorum
+// disagrees. A tie is reported in the Decision, never arbitrated
+// (arbitrating votes already in hand is the package-level Decide's job).
+//
+// A voter whose dependency is unavailable (hard-down model, open circuit
+// breaker — see resilience.IsUnavailable) is dropped rather than failing
+// the decision: it casts no vote, is reported in Decision.Unavailable and
+// shrinks the majority bound. Every voter unavailable is still an error —
+// there is no ensemble left to decide. Transient (retry-exhausted) and
+// semantic failures error regardless.
 type Engine struct {
 	Plan Plan
-	Mode Mode
-	// Arbiter breaks ties when set.
-	Arbiter Arbiter
-	// AllowTie reports an unresolved tie in the Decision instead of
-	// failing when no Arbiter is set (the serving layer's contract; the
-	// offline reports keep Decide's tie-is-an-error behaviour).
-	AllowTie bool
-	// Degrade settles with the surviving ensemble when a voter is
-	// unavailable (hard-down model, open circuit breaker — see
-	// resilience.IsUnavailable) instead of erroring the whole decision:
-	// the unavailable voters are reported in Decision.Unavailable, cast
-	// no vote, and shrink the majority bound. Every voter unavailable is
-	// still an error — there is no ensemble left to decide. Transient
-	// (retry-exhausted) and semantic failures error regardless; only
-	// dependency unavailability is survivable.
-	Degrade bool
 }
 
-// Decide runs the engine for one fact. Every mode yields identical
-// Final/Tie verdicts; they differ in which votes are fetched when, and in
-// the honesty of LatencySeconds (decided-at time: per-tier critical paths
-// summed, a skipped vote is never waited on). Early stopping is checked
-// only at tier boundaries, so the skip set is a deterministic function of
-// (plan, fact) — independent of scheduling, parallelism and timing.
+// Decide runs the engine for one fact. Its Final/Tie verdicts equal the
+// package-level Decide over every voter's outcome; LatencySeconds is the
+// decided-at time (per-tier critical paths summed, a skipped vote is never
+// waited on). Early stopping is checked only at tier boundaries, so the
+// skip set is a deterministic function of (plan, fact) — independent of
+// scheduling, parallelism and timing.
 func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Decision, RunStats, error) {
 	var st RunStats
 	n := len(e.Plan.Order)
 	if n == 0 {
 		return Decision{}, st, fmt.Errorf("consensus: empty plan deciding fact %s", f.ID)
 	}
-	var waves [][]string
-	switch e.Mode {
-	case ModeSerial, ModeEager:
-		waves = [][]string{e.Plan.Order}
-	case ModeAdaptive:
-		waves = e.Plan.Tiers
-	default:
-		return Decision{}, st, fmt.Errorf("consensus: unknown mode %q", e.Mode)
-	}
 
-	d := Decision{FactID: f.ID, Gold: f.Gold, Mode: e.Mode}
+	d := Decision{FactID: f.ID, Gold: f.Gold}
 	trues, falses := 0, 0
 	var unavailErr error
-	for wi, wave := range waves {
+	for wi, wave := range e.Plan.Tiers {
 		if wi > 0 {
 			if _, settled := Settled(trues, falses, n); settled {
 				break
@@ -177,12 +126,11 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 		}
 		wouts := make([]strategy.Outcome, len(wave))
 		werrs := make([]error, len(wave))
-		wctx, endWave := obs.StartSpan(ctx, "consensus_tier"+strconv.Itoa(wi))
+		slot := min(wi, len(tierHists)-1)
+		wctx, endWave := obs.StartSpan(ctx, tierSpans[slot])
 		waveStart := time.Now()
-		if e.Mode == ModeSerial || len(wave) == 1 {
-			for i, m := range wave {
-				wouts[i], werrs[i] = fetch(wctx, m)
-			}
+		if len(wave) == 1 {
+			wouts[0], werrs[0] = fetch(wctx, wave[0])
 		} else {
 			var wg sync.WaitGroup
 			for i, m := range wave {
@@ -194,12 +142,12 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 			}
 			wg.Wait()
 		}
-		tierHist(wi).Observe(time.Since(waveStart))
+		tierHists[slot].Observe(time.Since(waveStart))
 		endWave()
 		lat := 0.0
 		for i, m := range wave {
 			if werrs[i] != nil {
-				if e.Degrade && resilience.IsUnavailable(werrs[i]) {
+				if resilience.IsUnavailable(werrs[i]) {
 					// The voter's dependency is down, not the vote wrong:
 					// drop it from the ensemble. n shrinks with it, so the
 					// Settled bound at the next tier boundary is over the
@@ -223,14 +171,9 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 			} else {
 				falses++
 			}
-			if s := o.Latency.Seconds(); e.Mode == ModeSerial {
-				lat += s // a serial wave pays the sum of its members
-			} else if s > lat {
-				lat = s // a fanned-out wave pays its critical path
-			}
+			lat = max(lat, o.Latency.Seconds()) // a fanned-out wave pays its critical path
 		}
 		st.Dispatched += len(wave)
-		d.TierLatencySeconds = append(d.TierLatencySeconds, lat)
 		d.LatencySeconds += lat
 	}
 	if st.Skipped = len(e.Plan.Order) - st.Dispatched; st.Skipped > 0 {
@@ -247,20 +190,5 @@ func (e *Engine) Decide(ctx context.Context, f *dataset.Fact, fetch Fetch) (Deci
 	// cast votes equals the full-ensemble majority and a tie implies every
 	// voter was heard.
 	d.Final, d.Tie = Majority(d.Votes)
-	if d.Tie {
-		switch {
-		case e.Arbiter != nil:
-			st.ArbiterCalls++
-			v, lat, err := e.Arbiter.Break(ctx, f)
-			if err != nil {
-				return Decision{}, st, err
-			}
-			d.ArbiterVerdict = v.Bool()
-			d.Final = d.ArbiterVerdict
-			d.LatencySeconds += lat
-		case !e.AllowTie:
-			return Decision{}, st, fmt.Errorf("consensus: tie on %s with no arbiter", f.ID)
-		}
-	}
 	return d, st, nil
 }

@@ -5,29 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"factcheck/internal/dataset"
 	"factcheck/internal/llm"
+	"factcheck/internal/obs"
 	"factcheck/internal/strategy"
 )
-
-func TestParseMode(t *testing.T) {
-	for _, s := range []string{"serial", "eager", "adaptive"} {
-		m, err := ParseMode(s)
-		if err != nil || string(m) != s {
-			t.Errorf("ParseMode(%q) = (%q, %v)", s, m, err)
-		}
-	}
-	for _, s := range []string{"", "greedy", "Serial", "eager "} {
-		if _, err := ParseMode(s); err == nil {
-			t.Errorf("ParseMode(%q) accepted", s)
-		}
-	}
-}
 
 func TestSettledBound(t *testing.T) {
 	tests := []struct {
@@ -174,7 +161,7 @@ func synthFact() *dataset.Fact { return &dataset.Fact{ID: "f1", Gold: true} }
 
 func TestEngineAdaptiveSkipsOnSettledQuorum(t *testing.T) {
 	f := synthFact()
-	eng := &Engine{Plan: fourPlan(), Mode: ModeAdaptive, AllowTie: true}
+	eng := &Engine{Plan: fourPlan()}
 	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.True, "c": strategy.True, "d": strategy.False}
 	lats := map[string]time.Duration{"a": time.Second, "b": 2 * time.Second, "c": 3 * time.Second, "d": 10 * time.Second}
 	dec, st, err := eng.Decide(context.Background(), f, planFetch(f, verdicts, lats))
@@ -187,7 +174,7 @@ func TestEngineAdaptiveSkipsOnSettledQuorum(t *testing.T) {
 	if !reflect.DeepEqual(dec.Skipped, []string{"d"}) {
 		t.Fatalf("skipped = %v, want [d]", dec.Skipped)
 	}
-	if st.Dispatched != 3 || st.Skipped != 1 || st.Escalations != 0 || st.ArbiterCalls != 0 {
+	if st.Dispatched != 3 || st.Skipped != 1 || st.Escalations != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Decided-at latency: the quorum's critical path only — the skipped
@@ -195,14 +182,11 @@ func TestEngineAdaptiveSkipsOnSettledQuorum(t *testing.T) {
 	if dec.LatencySeconds != 3 {
 		t.Fatalf("latency = %v, want 3 (quorum critical path)", dec.LatencySeconds)
 	}
-	if !reflect.DeepEqual(dec.TierLatencySeconds, []float64{3}) {
-		t.Fatalf("tier latencies = %v", dec.TierLatencySeconds)
-	}
 }
 
 func TestEngineAdaptiveEscalatesOnDisagreement(t *testing.T) {
 	f := synthFact()
-	eng := &Engine{Plan: fourPlan(), Mode: ModeAdaptive, AllowTie: true}
+	eng := &Engine{Plan: fourPlan()}
 	lats := map[string]time.Duration{"a": time.Second, "b": 2 * time.Second, "c": 3 * time.Second, "d": 10 * time.Second}
 
 	// 2-1 quorum: unsettled, escalate to d. d votes true -> 3-1 true.
@@ -221,90 +205,86 @@ func TestEngineAdaptiveEscalatesOnDisagreement(t *testing.T) {
 	if dec.LatencySeconds != 13 {
 		t.Fatalf("latency = %v, want 13", dec.LatencySeconds)
 	}
-	if !reflect.DeepEqual(dec.TierLatencySeconds, []float64{3, 10}) {
-		t.Fatalf("tier latencies = %v", dec.TierLatencySeconds)
-	}
 
-	// 2-1 quorum, d votes false -> genuine 2-2 tie, reported (AllowTie).
+	// 2-1 quorum, d votes false -> genuine 2-2 tie, reported.
 	verdicts["d"] = strategy.False
-	dec, st, err = eng.Decide(context.Background(), f, planFetch(f, verdicts, lats))
+	dec, _, err = eng.Decide(context.Background(), f, planFetch(f, verdicts, lats))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Tie || dec.Final {
-		t.Fatalf("decision = %+v, want reported tie", dec)
-	}
-	if st.ArbiterCalls != 0 {
-		t.Fatalf("arbiter called with AllowTie and no arbiter: %+v", st)
+	if !dec.Tie || dec.Final || len(dec.Votes) != 4 {
+		t.Fatalf("decision = %+v, want reported tie over all four votes", dec)
 	}
 }
 
-// staticArbiter breaks every tie with a fixed verdict.
-type staticArbiter struct {
-	verdict strategy.Verdict
-	lat     float64
-	calls   int
-}
-
-func (a *staticArbiter) Name() string { return "static" }
-func (a *staticArbiter) Break(context.Context, *dataset.Fact) (strategy.Verdict, float64, error) {
-	a.calls++
-	return a.verdict, a.lat, nil
-}
-
+// TestEngineTieArbitration: the engine never arbitrates. A 2-2 split is
+// reported as a tie, Final false, with no judge time in the decided-at
+// latency; breaking it is the package-level Decide's job
+// (TestDecideTieUsesArbiter).
 func TestEngineTieArbitration(t *testing.T) {
 	f := synthFact()
-	arb := &staticArbiter{verdict: strategy.True, lat: 5}
-	eng := &Engine{Plan: fourPlan(), Mode: ModeAdaptive, Arbiter: arb}
+	eng := &Engine{Plan: fourPlan()}
 	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.False, "c": strategy.True, "d": strategy.False}
 	lats := map[string]time.Duration{"a": time.Second, "b": time.Second, "c": time.Second, "d": time.Second}
 	dec, st, err := eng.Decide(context.Background(), f, planFetch(f, verdicts, lats))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Tie || !dec.Final || !dec.ArbiterVerdict {
-		t.Fatalf("decision = %+v, want arbitrated-true tie", dec)
+	if !dec.Tie || dec.Final || dec.ArbiterVerdict {
+		t.Fatalf("decision = %+v, want an unarbitrated tie", dec)
 	}
-	if st.ArbiterCalls != 1 || arb.calls != 1 {
-		t.Fatalf("arbiter calls = %d/%d, want 1", st.ArbiterCalls, arb.calls)
+	if st.Dispatched != 4 || st.Escalations != 1 {
+		t.Fatalf("stats = %+v, want the full ensemble heard", st)
 	}
-	if dec.LatencySeconds != 1+1+5 {
-		t.Fatalf("latency = %v, want quorum 1 + escalation 1 + arbiter 5", dec.LatencySeconds)
-	}
-
-	// Without an arbiter and without AllowTie, a tie is an error (Decide
-	// parity).
-	eng = &Engine{Plan: fourPlan(), Mode: ModeEager}
-	if _, _, err := eng.Decide(context.Background(), f, planFetch(f, verdicts, lats)); err == nil {
-		t.Fatal("tie without arbiter accepted")
+	if dec.LatencySeconds != 1+1 {
+		t.Fatalf("latency = %v, want quorum 1 + escalation 1", dec.LatencySeconds)
 	}
 }
 
-func TestEngineSerialLatencyIsSum(t *testing.T) {
+// TestEngineLatencyIsTierCriticalPath: the decided-at latency is the sum
+// over dispatched tiers of each tier's slowest voter — not the sum of all
+// voters, nor the slowest voter overall.
+func TestEngineLatencyIsTierCriticalPath(t *testing.T) {
 	f := synthFact()
-	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.True, "c": strategy.True, "d": strategy.True}
-	lats := map[string]time.Duration{"a": time.Second, "b": 2 * time.Second, "c": 3 * time.Second, "d": 10 * time.Second}
-	fetch := planFetch(f, verdicts, lats)
-
-	serial := &Engine{Plan: fourPlan(), Mode: ModeSerial, AllowTie: true}
-	dec, st, err := serial.Decide(context.Background(), f, fetch)
+	// 2-1 quorum escalates; the quorum's critical path is a (5s), not the
+	// most expensive voter in cost order.
+	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.False, "c": strategy.True, "d": strategy.True}
+	lats := map[string]time.Duration{"a": 5 * time.Second, "b": 2 * time.Second, "c": 3 * time.Second, "d": time.Second}
+	dec, st, err := (&Engine{Plan: fourPlan()}).Decide(context.Background(), f, planFetch(f, verdicts, lats))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.LatencySeconds != 16 {
-		t.Fatalf("serial latency = %v, want 16 (sum of all)", dec.LatencySeconds)
+	if st.Dispatched != 4 || st.Escalations != 1 {
+		t.Fatalf("stats = %+v, want both tiers dispatched", st)
 	}
-	if st.Dispatched != 4 || st.Skipped != 0 {
-		t.Fatalf("serial stats = %+v", st)
+	if dec.LatencySeconds != 5+1 {
+		t.Fatalf("latency = %v, want tier 0 critical path 5 + tier 1 critical path 1", dec.LatencySeconds)
 	}
+}
 
-	eager := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
-	dec, _, err = eager.Decide(context.Background(), f, fetch)
-	if err != nil {
+// TestEngineTierSpans: a traced two-tier decision records one span per
+// dispatched tier, named by its tier index.
+func TestEngineTierSpans(t *testing.T) {
+	f := synthFact()
+	verdicts := map[string]strategy.Verdict{"a": strategy.True, "b": strategy.False, "c": strategy.True, "d": strategy.True}
+	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1, Seed: "tiers"})
+	ctx, tr := tracer.Start(context.Background(), "consensus", false)
+	if _, _, err := (&Engine{Plan: fourPlan()}).Decide(ctx, f, planFetch(f, verdicts, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if dec.LatencySeconds != 10 {
-		t.Fatalf("eager latency = %v, want 10 (critical path)", dec.LatencySeconds)
+	tracer.Finish(tr)
+	out, ok := tracer.Get(tr.ID())
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	var tiers []string
+	for _, sp := range out.Spans {
+		if strings.HasPrefix(sp.Name, "consensus_tier") {
+			tiers = append(tiers, sp.Name)
+		}
+	}
+	if want := []string{"consensus_tier0", "consensus_tier1"}; !reflect.DeepEqual(tiers, want) {
+		t.Fatalf("tier spans = %v, want %v", tiers, want)
 	}
 }
 
@@ -312,17 +292,13 @@ func TestEngineErrors(t *testing.T) {
 	f := synthFact()
 	fetch := planFetch(f, map[string]strategy.Verdict{"a": strategy.True}, nil)
 
-	empty := &Engine{Plan: Plan{}, Mode: ModeEager}
+	empty := &Engine{Plan: Plan{}}
 	if _, _, err := empty.Decide(context.Background(), f, fetch); err == nil {
 		t.Error("empty plan accepted")
 	}
-	unknown := &Engine{Plan: fourPlan(), Mode: Mode("greedy")}
-	if _, _, err := unknown.Decide(context.Background(), f, fetch); err == nil {
-		t.Error("unknown mode accepted")
-	}
+	eng := &Engine{Plan: fourPlan()}
 	// A fetch error surfaces with the voter attached.
-	failing := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
-	_, _, err := failing.Decide(context.Background(), f, func(_ context.Context, m string) (strategy.Outcome, error) {
+	_, _, err := eng.Decide(context.Background(), f, func(_ context.Context, m string) (strategy.Outcome, error) {
 		if m == "b" {
 			return strategy.Outcome{}, errors.New("boom")
 		}
@@ -332,8 +308,7 @@ func TestEngineErrors(t *testing.T) {
 		t.Errorf("fetch error = %v, want wrapped b-vote error", err)
 	}
 	// An outcome for the wrong fact is rejected.
-	mismatched := &Engine{Plan: fourPlan(), Mode: ModeEager, AllowTie: true}
-	_, _, err = mismatched.Decide(context.Background(), f, func(_ context.Context, m string) (strategy.Outcome, error) {
+	_, _, err = eng.Decide(context.Background(), f, func(_ context.Context, m string) (strategy.Outcome, error) {
 		return strategy.Outcome{FactID: "other", Model: m, Verdict: strategy.True}, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "outcome fact") {
@@ -353,128 +328,71 @@ func fixtureFetch(outs []strategy.Outcome) Fetch {
 	}
 }
 
-// TestEngineEagerMatchesDecide pins the engine's eager mode to the
-// package-level Decide golden baseline over every fact of the fixture:
-// identical Final, Tie, ArbiterVerdict and LatencySeconds, identical votes
-// as a set (the engine reorders dispatch by cost, never content).
-func TestEngineEagerMatchesDecide(t *testing.T) {
+// TestEngineMatchesDecide is the differential gate at engine level: over
+// every fact of the fixture the early-stopping engine decides exactly what
+// the package-level Decide decides from every vote (ties reported on both:
+// the engine as Tie, Decide as its no-arbiter tie error), consults a
+// plan-order prefix of the voters and skips exactly the plan tail, and
+// early-stops on every unanimous fact.
+func TestEngineMatchesDecide(t *testing.T) {
 	fx := setup(t)
-	per := fx.perFact()
-	ctx := context.Background()
-	arb := &ModelArbiter{Label: "agg-cons-up", Judge: llm.MustNew(llm.Gemma2Big), Verifier: strategy.DKA{}}
-	plan := NewPlan(llm.OpenSourceModels, llm.Cost)
-	eng := &Engine{Plan: plan, Mode: ModeEager, Arbiter: arb}
-	for i, outs := range per {
-		want, err := Decide(ctx, fx.d.Facts[i], outs, arb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := eng.Decide(ctx, fx.d.Facts[i], fixtureFetch(outs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Final != want.Final || got.Tie != want.Tie || got.ArbiterVerdict != want.ArbiterVerdict {
-			t.Fatalf("fact %s: engine (final %v tie %v arb %v) != Decide (final %v tie %v arb %v)",
-				fx.d.Facts[i].ID, got.Final, got.Tie, got.ArbiterVerdict, want.Final, want.Tie, want.ArbiterVerdict)
-		}
-		if got.LatencySeconds != want.LatencySeconds {
-			t.Fatalf("fact %s: engine latency %v != Decide latency %v",
-				fx.d.Facts[i].ID, got.LatencySeconds, want.LatencySeconds)
-		}
-		if got.Skipped != nil || st.Skipped != 0 {
-			t.Fatalf("fact %s: eager mode skipped votes: %v", fx.d.Facts[i].ID, got.Skipped)
-		}
-		if !sameVoteSet(got.Votes, want.Votes) {
-			t.Fatalf("fact %s: vote sets differ: %v vs %v", fx.d.Facts[i].ID, got.Votes, want.Votes)
-		}
-	}
-}
-
-// TestEngineAdaptiveMatchesEager is the differential gate at engine level:
-// identical Final/Tie on every fact, skip sets deterministic across runs,
-// and every unanimous fact early-stops.
-func TestEngineAdaptiveMatchesEager(t *testing.T) {
-	fx := setup(t)
-	per := fx.perFact()
 	ctx := context.Background()
 	plan := NewPlan(llm.OpenSourceModels, llm.Cost)
-	eager := &Engine{Plan: plan, Mode: ModeEager, AllowTie: true}
-	adaptive := &Engine{Plan: plan, Mode: ModeAdaptive, AllowTie: true}
-
-	unanimous, unanimousSkipped, skippedFacts := 0, 0, 0
-	for i, outs := range per {
+	eng := &Engine{Plan: plan}
+	unanimous, ties, skippedFacts := 0, 0, 0
+	for i, outs := range fx.perFact() {
 		f := fx.d.Facts[i]
-		want, _, err := eager.Decide(ctx, f, fixtureFetch(outs))
+		want, werr := Decide(ctx, f, outs, nil)
+		got, st, err := eng.Decide(ctx, f, fixtureFetch(outs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := adaptive.Decide(ctx, f, fixtureFetch(outs))
-		if err != nil {
-			t.Fatal(err)
+		if werr != nil {
+			if !strings.Contains(werr.Error(), "tie on") {
+				t.Fatal(werr)
+			}
+			want.Tie = true
+			ties++
 		}
 		if got.Final != want.Final || got.Tie != want.Tie {
-			t.Fatalf("fact %s: adaptive (final %v tie %v) != eager (final %v tie %v)",
+			t.Fatalf("fact %s: engine (final %v tie %v) != Decide (final %v tie %v)",
 				f.ID, got.Final, got.Tie, want.Final, want.Tie)
+		}
+		k := len(got.Votes)
+		for j, v := range got.Votes {
+			if v.Model != plan.Order[j] {
+				t.Fatalf("fact %s: votes %v are not a plan-order prefix of %v", f.ID, got.Votes, plan.Order)
+			}
+		}
+		if tail := plan.Order[k:]; !slices.Equal(got.Skipped, tail) {
+			t.Fatalf("fact %s: skipped %v, want plan tail %v", f.ID, got.Skipped, tail)
 		}
 		if st.Dispatched+st.Skipped != len(plan.Order) {
 			t.Fatalf("fact %s: dispatched %d + skipped %d != %d", f.ID, st.Dispatched, st.Skipped, len(plan.Order))
 		}
 		if len(got.Skipped) > 0 {
 			skippedFacts++
-			// Settled on tier 1 alone: the decided-at latency is tier 1's
-			// critical path, which can never exceed the eager critical path
-			// over the full ensemble.
-			if got.LatencySeconds > want.LatencySeconds {
-				t.Fatalf("fact %s: decided-at latency %v above eager critical path %v",
-					f.ID, got.LatencySeconds, want.LatencySeconds)
-			}
 		}
-		// Re-deciding must reproduce the skip set exactly.
-		again, _, err := adaptive.Decide(ctx, f, fixtureFetch(outs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again.Skipped, got.Skipped) {
-			t.Fatalf("fact %s: skip set not deterministic: %v vs %v", f.ID, again.Skipped, got.Skipped)
-		}
-		if allAgree(want.Votes) {
+		if allAgree(outs) {
 			unanimous++
-			if len(got.Skipped) > 0 {
-				unanimousSkipped++
+			if len(got.Skipped) == 0 {
+				t.Fatalf("fact %s: unanimous vote %v did not early-stop", f.ID, outs)
 			}
 		}
 	}
-	if unanimous == 0 {
-		t.Fatal("fixture has no unanimous facts; differential gate is vacuous")
-	}
-	if unanimousSkipped*2 <= unanimous {
-		t.Fatalf("early stop on %d of %d unanimous facts, want a majority", unanimousSkipped, unanimous)
+	if unanimous == 0 || ties == 0 {
+		t.Fatalf("fixture has %d unanimous facts and %d ties; the differential gate needs both", unanimous, ties)
 	}
 	if skippedFacts == 0 {
-		t.Fatal("adaptive mode never skipped a vote")
+		t.Fatal("the engine never skipped a vote")
 	}
 }
 
-func allAgree(vs []Vote) bool {
-	for _, v := range vs {
-		if v.Verdict.Bool() != vs[0].Verdict.Bool() {
+func allAgree(outs []strategy.Outcome) bool {
+	for _, o := range outs {
+		if o.Verdict.Bool() != outs[0].Verdict.Bool() {
 			return false
 		}
 	}
-	return len(vs) > 0
-}
-
-func sameVoteSet(a, b []Vote) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(v Vote) string { return v.Model + "=" + v.Verdict.String() }
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	sort.Strings(as)
-	sort.Strings(bs)
-	return reflect.DeepEqual(as, bs)
+	return len(outs) > 0
 }

@@ -9,7 +9,6 @@ import (
 	"factcheck/internal/dataset"
 	"factcheck/internal/eval"
 	"factcheck/internal/llm"
-	"factcheck/internal/strategy"
 )
 
 // ConsensusCell holds consensus results for one (dataset, method) cell.
@@ -33,18 +32,10 @@ var ArbiterLabels = []string{"agg-cons-up", "agg-cons-down", "agg-gpt-4o-mini"}
 
 // RunConsensus computes the consensus analysis for a (dataset, method) cell
 // from the open-source models' outcomes in rs, invoking arbiters on ties.
-// It runs the engine in eager (run-everything) mode — the golden baseline;
-// RunConsensusMode selects other execution strategies.
+// Every vote is already in rs, so each fact goes straight to
+// consensus.Decide; the early-stopping Engine is for votes fetched on
+// demand.
 func (b *Benchmark) RunConsensus(ctx context.Context, rs *ResultSet, dn dataset.Name, method llm.Method) (*ConsensusCell, error) {
-	return b.RunConsensusMode(ctx, rs, dn, method, consensus.ModeEager)
-}
-
-// RunConsensusMode is RunConsensus under an explicit engine mode. Every
-// mode yields identical verdicts (and therefore identical Alignment,
-// Results and tables); adaptive changes only which votes are consulted and
-// the honesty of the Latency column (decided-at time instead of
-// slowest-of-all when the early-stop bound skipped voters).
-func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn dataset.Name, method llm.Method, mode consensus.Mode) (*ConsensusCell, error) {
 	models := openModels(b.Config.Models)
 	perFact, err := rs.PerFact(dn, method, models)
 	if err != nil {
@@ -58,23 +49,12 @@ func (b *Benchmark) RunConsensusMode(ctx context.Context, rs *ResultSet, dn data
 	if err != nil {
 		return nil, err
 	}
-	plan := consensus.NewPlan(models, llm.Cost)
-	d := b.Datasets[dn]
+	facts := b.Datasets[dn].Facts
 	var lats []float64
 	for _, arb := range []consensus.Arbiter{up, down, commercial} {
-		eng := &consensus.Engine{Plan: plan, Mode: mode, Arbiter: arb}
 		var conf eval.Confusion
 		for i, outs := range perFact {
-			outs := outs
-			fetch := func(_ context.Context, model string) (strategy.Outcome, error) {
-				for _, o := range outs {
-					if o.Model == model {
-						return o, nil
-					}
-				}
-				return strategy.Outcome{}, fmt.Errorf("core: no %s outcome for fact %s", model, d.Facts[i].ID)
-			}
-			dec, _, err := eng.Decide(ctx, d.Facts[i], fetch)
+			dec, err := consensus.Decide(ctx, facts[i], outs, arb)
 			if err != nil {
 				return nil, err
 			}
@@ -97,19 +77,12 @@ type ConsensusReport struct {
 	Cells map[Cell]*ConsensusCell // Model field is empty in keys
 }
 
-// RunAllConsensus computes consensus for every (dataset, method) pair in
-// eager mode (the golden baseline).
+// RunAllConsensus computes consensus for every (dataset, method) pair.
 func (b *Benchmark) RunAllConsensus(ctx context.Context, rs *ResultSet) (*ConsensusReport, error) {
-	return b.RunAllConsensusMode(ctx, rs, consensus.ModeEager)
-}
-
-// RunAllConsensusMode computes consensus for every (dataset, method) pair
-// under an explicit engine mode.
-func (b *Benchmark) RunAllConsensusMode(ctx context.Context, rs *ResultSet, mode consensus.Mode) (*ConsensusReport, error) {
 	rep := &ConsensusReport{Cells: map[Cell]*ConsensusCell{}}
 	for _, dn := range b.Config.Datasets {
 		for _, method := range b.Config.Methods {
-			cell, err := b.RunConsensusMode(ctx, rs, dn, method, mode)
+			cell, err := b.RunConsensus(ctx, rs, dn, method)
 			if err != nil {
 				return nil, err
 			}

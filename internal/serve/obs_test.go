@@ -173,7 +173,6 @@ func TestMetricszExposition(t *testing.T) {
 		"factcheck_consensus_votes_dispatched_total ",
 		"factcheck_consensus_votes_skipped_total ",
 		"factcheck_consensus_escalations_total ",
-		"factcheck_consensus_arbiter_calls_total ",
 		"factcheck_cache_len ",
 		"factcheck_queue_cap ",
 		"factcheck_retrieval_search_queries_total ",
@@ -223,9 +222,7 @@ func TestStatszLatencySection(t *testing.T) {
 // requests * len(voters). Run under -race this also exercises the
 // snapshot path for data races.
 func TestStatsConsistencyUnderLoad(t *testing.T) {
-	cfg := permissive()
-	cfg.ConsensusMode = "adaptive"
-	svc := newTestService(t, cfg)
+	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
 		return stubOutcome(cell, f), nil
@@ -244,7 +241,7 @@ func TestStatsConsistencyUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				f := facts[(g*31+i)%len(facts)]
-				if _, err := svc.Consensus(context.Background(), f.ID, svc.cfg.ConsensusMode); err != nil {
+				if _, err := svc.Consensus(context.Background(), f.ID); err != nil {
 					t.Error(err)
 					return
 				}

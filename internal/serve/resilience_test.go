@@ -122,15 +122,20 @@ func TestConsensusDegradedSurvivors(t *testing.T) {
 		}
 		return stubOutcome(cell, fa), nil
 	}
-	resp, w := getConsensus(t, svc.Handler(), f.ID, "eager")
+	resp, w := getConsensus(t, svc.Handler(), f.ID)
 	if resp == nil {
 		t.Fatalf("consensus status %d (body %s)", w.Code, w.Body.String())
 	}
 	if !resp.Degraded || !reflect.DeepEqual(resp.Unavailable, []string{llm.Mistral}) {
 		t.Fatalf("degraded %v unavailable %v, want mistral dropped", resp.Degraded, resp.Unavailable)
 	}
-	if len(resp.Votes) != 3 || !resp.Final || resp.Tie {
-		t.Fatalf("votes %d final %v tie %v, want a 3-0 survivor majority", len(resp.Votes), resp.Final, resp.Tie)
+	// The two surviving quorum voters agree, which settles the 3-voter
+	// ensemble: the escalation voter is skipped.
+	if len(resp.Votes) != 2 || !resp.Final || resp.Tie {
+		t.Fatalf("votes %d final %v tie %v, want a 2-0 survivor majority", len(resp.Votes), resp.Final, resp.Tie)
+	}
+	if want := svc.plan.Order[3:]; !reflect.DeepEqual(resp.Skipped, want) {
+		t.Fatalf("skipped %v, want the escalation tier %v", resp.Skipped, want)
 	}
 	for _, v := range resp.Votes {
 		if v.Model == llm.Mistral {
@@ -147,7 +152,7 @@ func TestConsensusDegradedSurvivors(t *testing.T) {
 		return strategy.Outcome{}, downFault{}
 	}
 	allDown := testBench().Datasets[dataset.FactBench].Facts[2]
-	_, w = getConsensus(t, svc.Handler(), allDown.ID, "eager")
+	_, w = getConsensus(t, svc.Handler(), allDown.ID)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("all-down consensus status %d, want 503 (body %s)", w.Code, w.Body.String())
 	}

@@ -97,11 +97,6 @@ type Config struct {
 	// the background builder; further batches get 503 + Retry-After.
 	// Default 16.
 	IngestQueue int
-	// ConsensusMode is the default execution strategy for /v1/consensus
-	// (overridable per request with ?mode=). Default
-	// consensus.ModeAdaptive: verdicts are mode-independent, so the
-	// early-stopping schedule is safe to default on.
-	ConsensusMode consensus.Mode
 	// TraceSample is the fraction of requests traced end to end (0 = off,
 	// the default: the warm path then never touches the tracer beyond one
 	// counter increment). Any request can force its own trace with an
@@ -151,9 +146,6 @@ func (c *Config) fill(bench *core.Benchmark) {
 	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 16
-	}
-	if c.ConsensusMode == "" {
-		c.ConsensusMode = consensus.ModeAdaptive
 	}
 }
 
@@ -242,7 +234,6 @@ type serviceStats struct {
 	consensusDispatched  atomic.Uint64
 	consensusSkipped     atomic.Uint64
 	consensusEscalations atomic.Uint64
-	consensusArbiters    atomic.Uint64
 	consensusDegraded    atomic.Uint64
 
 	// Resilience-path counters: stale verdicts served degraded, verdicts
@@ -583,9 +574,9 @@ type VoteItem struct {
 }
 
 // ConsensusResponse is the DKA majority vote over the open-source models.
-// Final, Tie and Gold are mode-independent: an execution strategy changes
-// which votes are consulted, never what they decide. Votes, Skipped and
-// LatencyMS describe the strategy that ran.
+// Final and Tie equal the majority over every voter: early stopping
+// changes which votes are consulted, never what they decide. Votes,
+// Skipped and LatencyMS describe the votes actually consulted.
 type ConsensusResponse struct {
 	FactID  string     `json:"fact_id"`
 	Dataset string     `json:"dataset"`
@@ -594,10 +585,11 @@ type ConsensusResponse struct {
 	Final   bool       `json:"final"`
 	Tie     bool       `json:"tie"`
 	Gold    bool       `json:"gold"`
-	// Mode is the execution strategy that produced this decision.
+	// Mode names the engine's schedule, always "adaptive" (cost-ordered
+	// tiers with early stop); kept for clients that decode it.
 	Mode string `json:"mode"`
 	// Skipped lists voters the early-stop planner proved unnecessary, in
-	// dispatch order (adaptive mode only).
+	// dispatch order.
 	Skipped []string `json:"skipped,omitempty"`
 	// Unavailable lists voters dropped because their dependency was down
 	// (hard-down model, open circuit breaker); the decision settled over
@@ -639,12 +631,11 @@ type Stats struct {
 
 	// Consensus-engine counters: requests served, votes the planner
 	// dispatched vs skipped, tiers escalated past the cheap quorum, and
-	// arbiter tie-breaks.
+	// decisions settled over a partial ensemble.
 	ConsensusRequests    uint64 `json:"consensus_requests"`
 	ConsensusDispatched  uint64 `json:"consensus_votes_dispatched"`
 	ConsensusSkipped     uint64 `json:"consensus_votes_skipped"`
 	ConsensusEscalations uint64 `json:"consensus_escalations"`
-	ConsensusArbiters    uint64 `json:"consensus_arbiter_calls"`
 	ConsensusDegraded    uint64 `json:"consensus_degraded"`
 
 	// Resilience-path counters: stale verdicts served degraded, 503s for
@@ -709,7 +700,6 @@ func (s *Service) Stats() Stats {
 		ConsensusDispatched:  s.stats.consensusDispatched.Load(),
 		ConsensusSkipped:     s.stats.consensusSkipped.Load(),
 		ConsensusEscalations: s.stats.consensusEscalations.Load(),
-		ConsensusArbiters:    s.stats.consensusArbiters.Load(),
 		ConsensusDegraded:    s.stats.consensusDegraded.Load(),
 
 		Degraded:      s.stats.degraded.Load(),
@@ -727,7 +717,7 @@ func (s *Service) Stats() Stats {
 //	POST /v1/verify/batch                              -> BatchResponse
 //	POST /v1/documents                                 -> IngestResponse (202; async fold)
 //	GET  /v1/verdict/{dataset}/{method}/{model}/{fact} -> VerdictResponse (no compute; 404 when absent)
-//	GET  /v1/consensus/{fact}[?mode=serial|eager|adaptive] -> ConsensusResponse
+//	GET  /v1/consensus/{fact}                            -> ConsensusResponse
 //	GET  /v1/facts                                     -> fact IDs per dataset
 //	GET  /v1/trace/{id}                                -> one sampled trace's spans
 //	GET  /healthz (liveness), GET /readyz (readiness; 503 while draining)
@@ -1194,17 +1184,7 @@ func (s *Service) handleVerdict(w http.ResponseWriter, r *http.Request) {
 
 // handleConsensus answers the DKA majority vote of the open-source models
 // (the paper's §3.3 consensus without arbitration; ties are reported).
-// ?mode=serial|eager|adaptive overrides the configured execution strategy.
 func (s *Service) handleConsensus(w http.ResponseWriter, r *http.Request) {
-	mode := s.cfg.ConsensusMode
-	if q := r.URL.Query().Get("mode"); q != "" {
-		m, err := consensus.ParseMode(q)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		mode = m
-	}
 	// A voterless service can never answer: reject before any token beyond
 	// the admission charge is debited, so a misconfigured server does not
 	// bill clients for work it will never run.
@@ -1232,7 +1212,7 @@ func (s *Service) handleConsensus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp, err := s.Consensus(r.Context(), r.PathValue("fact"), mode)
+	resp, err := s.Consensus(r.Context(), r.PathValue("fact"))
 	if err != nil {
 		var aerr *apiError
 		if errors.As(err, &aerr) {
@@ -1245,14 +1225,13 @@ func (s *Service) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Consensus decides one fact through the §3.3 consensus engine under the
-// given mode. Per-voter votes resolve through the same verdict stack as
+// Consensus decides one fact through the §3.3 consensus engine. Per-voter votes resolve through the same verdict stack as
 // /v1/verify (LRU, singleflight, store snapshots, executor-bounded
 // verification) and fan out concurrently within each tier, so concurrent
 // consensus requests for one fact coalesce per (cell, fact) vote. Rate
 // limiting and admission are the HTTP handler's business, not this
 // method's.
-func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.Mode) (*ConsensusResponse, error) {
+func (s *Service) Consensus(ctx context.Context, factID string) (*ConsensusResponse, error) {
 	f, ok := s.bench.FactByID(factID)
 	if !ok {
 		return nil, &apiError{status: http.StatusNotFound, msg: "unknown fact " + factID}
@@ -1261,7 +1240,7 @@ func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.M
 	if !ok {
 		return nil, &apiError{status: http.StatusNotFound, msg: "unknown fact " + factID}
 	}
-	eng := &consensus.Engine{Plan: s.plan, Mode: mode, AllowTie: true, Degrade: true}
+	eng := &consensus.Engine{Plan: s.plan}
 	fetch := func(ctx context.Context, model string) (strategy.Outcome, error) {
 		cell := core.Cell{Dataset: f.Dataset, Method: llm.MethodDKA, Model: model}
 		out, _, err := s.verdict(ctx, cell, f, idx)
@@ -1272,13 +1251,12 @@ func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.M
 		return nil, err
 	}
 	// Grouped under the stats lock (shared): a /statsz scrape sees this
-	// request's five counters land together or not at all.
+	// request's counters land together or not at all.
 	s.stats.mu.RLock()
 	s.stats.consensusRequests.Add(1)
 	s.stats.consensusDispatched.Add(uint64(st.Dispatched))
 	s.stats.consensusSkipped.Add(uint64(st.Skipped))
 	s.stats.consensusEscalations.Add(uint64(st.Escalations))
-	s.stats.consensusArbiters.Add(uint64(st.ArbiterCalls))
 	if len(dec.Unavailable) > 0 {
 		s.stats.consensusDegraded.Add(1)
 	}
@@ -1290,7 +1268,7 @@ func (s *Service) Consensus(ctx context.Context, factID string, mode consensus.M
 		Final:       dec.Final,
 		Tie:         dec.Tie,
 		Gold:        f.Gold,
-		Mode:        string(mode),
+		Mode:        "adaptive",
 		Skipped:     dec.Skipped,
 		Unavailable: dec.Unavailable,
 		Degraded:    len(dec.Unavailable) > 0,
@@ -1336,7 +1314,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
 	p.Info("factcheck_build_info", "Build identity of the serving process.",
-		"go_version", runtime.Version(), "consensus_mode", string(s.cfg.ConsensusMode))
+		"go_version", runtime.Version())
 
 	p.Counter("factcheck_requests_total", "Requests reaching the admission middleware.", st.Requests)
 	p.Counter("factcheck_rate_limited_total", "Requests rejected by the per-client token bucket (429).", st.RateLimited)
@@ -1357,7 +1335,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("factcheck_consensus_votes_dispatched_total", "Voter verifications the consensus planner dispatched.", st.ConsensusDispatched)
 	p.Counter("factcheck_consensus_votes_skipped_total", "Voter verifications the early-stop planner proved unnecessary.", st.ConsensusSkipped)
 	p.Counter("factcheck_consensus_escalations_total", "Consensus tiers dispatched beyond the cheap quorum.", st.ConsensusEscalations)
-	p.Counter("factcheck_consensus_arbiter_calls_total", "Arbiter tie-breaks.", st.ConsensusArbiters)
 	p.Counter("factcheck_consensus_degraded_total", "Consensus decisions settled over a partial ensemble.", st.ConsensusDegraded)
 
 	p.Counter("factcheck_degraded_served_total", "Stale verdicts served because fresh resolution was unavailable.", st.Degraded)

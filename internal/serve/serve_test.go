@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -521,16 +522,11 @@ func TestBatch(t *testing.T) {
 	}
 }
 
-// getConsensus issues GET /v1/consensus/{fact} with an optional ?mode= and
-// decodes the response.
-func getConsensus(t *testing.T, h http.Handler, factID, mode string) (*ConsensusResponse, *httptest.ResponseRecorder) {
+// getConsensus issues GET /v1/consensus/{fact} and decodes the response.
+func getConsensus(t *testing.T, h http.Handler, factID string) (*ConsensusResponse, *httptest.ResponseRecorder) {
 	t.Helper()
-	url := "/v1/consensus/" + factID
-	if mode != "" {
-		url += "?mode=" + mode
-	}
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/consensus/"+factID, nil))
 	if w.Code != http.StatusOK {
 		return nil, w
 	}
@@ -541,148 +537,118 @@ func getConsensus(t *testing.T, h http.Handler, factID, mode string) (*Consensus
 	return &resp, w
 }
 
-// TestConsensusEndpoint: in every mode the served verdict must match
-// consensus.Majority over the open-source models' RunCell verdicts, with
-// each vote attributed to the model that cast it. Only the execution shape
-// (votes consulted, skip set) may differ between modes.
-func TestConsensusEndpoint(t *testing.T) {
-	b := testBench()
-	f := firstFact(dataset.FactBench)
-	want := map[string]strategy.Verdict{}
-	var votes []consensus.Vote
+// openVerdicts returns each open-source voter's RunCell DKA verdict on
+// every fact of dn, keyed by fact ID then model.
+func openVerdicts(t *testing.T, b *core.Benchmark, dn dataset.Name) map[string]map[string]strategy.Verdict {
+	t.Helper()
+	byFact := map[string]map[string]strategy.Verdict{}
 	for _, model := range b.Config.Models {
 		if model == llm.GPT4oMini {
 			continue
 		}
-		outs, err := b.RunCell(context.Background(), dataset.FactBench, llm.MethodDKA, model)
+		outs, err := b.RunCell(context.Background(), dn, llm.MethodDKA, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[model] = outs[0].Verdict
-		votes = append(votes, consensus.Vote{Model: model, Verdict: outs[0].Verdict})
+		for _, o := range outs {
+			if byFact[o.FactID] == nil {
+				byFact[o.FactID] = map[string]strategy.Verdict{}
+			}
+			byFact[o.FactID][model] = o.Verdict
+		}
 	}
-	wantFinal, wantTie := consensus.Majority(votes)
+	return byFact
+}
+
+// majorityOf is consensus.Majority over one fact's voter verdicts.
+func majorityOf(verdicts map[string]strategy.Verdict) (final, tie bool) {
+	var votes []consensus.Vote
+	for model, v := range verdicts {
+		votes = append(votes, consensus.Vote{Model: model, Verdict: v})
+	}
+	return consensus.Majority(votes)
+}
+
+// TestConsensusEndpoint: the served verdict must match consensus.Majority
+// over the open-source models' RunCell verdicts, with each vote attributed
+// to the model that cast it, the votes a plan-order prefix and the skip set
+// the plan tail.
+func TestConsensusEndpoint(t *testing.T) {
+	f := firstFact(dataset.FactBench)
+	want := openVerdicts(t, testBench(), dataset.FactBench)[f.ID]
+	wantFinal, wantTie := majorityOf(want)
 
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
-	h := svc.Handler()
 	planOrder := svc.plan.Order
 
-	for _, mode := range []string{"serial", "eager", "adaptive"} {
-		resp, w := getConsensus(t, h, f.ID, mode)
-		if resp == nil {
-			t.Fatalf("%s: %d %s", mode, w.Code, w.Body.String())
-		}
-		if resp.Mode != mode {
-			t.Fatalf("mode tag %q, want %q", resp.Mode, mode)
-		}
-		// The verdict is mode-independent.
-		if resp.Final != wantFinal || resp.Tie != wantTie {
-			t.Fatalf("%s: final=%v tie=%v, want final=%v tie=%v", mode, resp.Final, resp.Tie, wantFinal, wantTie)
-		}
-		// Every vote is the model's own RunCell verdict, in plan order.
-		for i, v := range resp.Votes {
-			if v.Model != planOrder[i] {
-				t.Fatalf("%s: vote %d from %s, want plan order %v", mode, i, v.Model, planOrder)
-			}
-			if v.Verdict != want[v.Model].String() {
-				t.Fatalf("%s: vote %s = %s, want %s", mode, v.Model, v.Verdict, want[v.Model])
-			}
-		}
-		switch mode {
-		case "serial", "eager":
-			if len(resp.Votes) != len(planOrder) || len(resp.Skipped) != 0 {
-				t.Fatalf("%s: %d votes, %d skipped; want full ensemble", mode, len(resp.Votes), len(resp.Skipped))
-			}
-		case "adaptive":
-			// Votes + Skipped partition the plan exactly.
-			all := append([]string{}, resp.Skipped...)
-			for i, v := range resp.Votes {
-				if v.Model != planOrder[i] {
-					t.Fatalf("adaptive: dispatched %s at %d", v.Model, i)
-				}
-			}
-			if len(resp.Votes)+len(all) != len(planOrder) {
-				t.Fatalf("adaptive: %d votes + %d skipped != %d plan", len(resp.Votes), len(all), len(planOrder))
-			}
-			for i, m := range resp.Skipped {
-				if m != planOrder[len(resp.Votes)+i] {
-					t.Fatalf("adaptive: skipped %v not the plan tail of %v", resp.Skipped, planOrder)
-				}
-			}
-		}
-	}
-
-	// No ?mode= serves the configured default (adaptive).
-	resp, w := getConsensus(t, h, f.ID, "")
+	resp, w := getConsensus(t, svc.Handler(), f.ID)
 	if resp == nil {
-		t.Fatalf("default mode: %d %s", w.Code, w.Body.String())
+		t.Fatalf("%d %s", w.Code, w.Body.String())
 	}
-	if resp.Mode != string(consensus.ModeAdaptive) {
-		t.Fatalf("default mode = %q, want adaptive", resp.Mode)
+	if resp.Mode != "adaptive" {
+		t.Fatalf("mode tag %q, want adaptive", resp.Mode)
 	}
-	// An unknown mode is a 400, before any charging or verification.
-	if _, w := getConsensus(t, h, f.ID, "bogus"); w.Code != http.StatusBadRequest {
-		t.Fatalf("?mode=bogus: %d, want 400", w.Code)
+	if resp.Final != wantFinal || resp.Tie != wantTie {
+		t.Fatalf("final=%v tie=%v, want final=%v tie=%v", resp.Final, resp.Tie, wantFinal, wantTie)
+	}
+	// Every vote is the model's own RunCell verdict, in plan order.
+	for i, v := range resp.Votes {
+		if v.Model != planOrder[i] {
+			t.Fatalf("vote %d from %s, want plan order %v", i, v.Model, planOrder)
+		}
+		if v.Verdict != want[v.Model].String() {
+			t.Fatalf("vote %s = %s, want %s", v.Model, v.Verdict, want[v.Model])
+		}
+	}
+	// Votes + Skipped partition the plan exactly.
+	if tail := planOrder[len(resp.Votes):]; !slices.Equal(resp.Skipped, tail) {
+		t.Fatalf("skipped %v not the plan tail %v", resp.Skipped, tail)
 	}
 }
 
-// TestConsensusModesAgree is the serving-layer differential gate: for every
-// fact of every dataset, eager (run everything — the golden baseline),
-// serial and adaptive must agree on Final and Tie; adaptive must skip
-// voters on a majority of the unanimous facts.
-func TestConsensusModesAgree(t *testing.T) {
+// TestConsensusMatchesMajority is the serving-layer differential gate: for
+// every fact of every dataset the served Final and Tie equal
+// consensus.Majority over all four voters' RunCell verdicts, and every
+// unanimous fact skips voters.
+func TestConsensusMatchesMajority(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	ctx := context.Background()
 
-	unanimous, unanimousSkipped, skippedFacts, facts := 0, 0, 0, 0
+	unanimous, skippedFacts, facts := 0, 0, 0
 	for _, dn := range testBench().Config.Datasets {
+		verdicts := openVerdicts(t, testBench(), dn)
 		for _, f := range testBench().Datasets[dn].Facts {
 			facts++
-			eager, err := svc.Consensus(ctx, f.ID, consensus.ModeEager)
+			wantFinal, wantTie := majorityOf(verdicts[f.ID])
+			got, err := svc.Consensus(ctx, f.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := svc.Consensus(ctx, f.ID, consensus.ModeSerial)
-			if err != nil {
-				t.Fatal(err)
+			if got.Final != wantFinal || got.Tie != wantTie {
+				t.Fatalf("%s: served (final %v tie %v) != majority over every voter (final %v tie %v)",
+					f.ID, got.Final, got.Tie, wantFinal, wantTie)
 			}
-			adaptive, err := svc.Consensus(ctx, f.ID, consensus.ModeAdaptive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Final != eager.Final || serial.Tie != eager.Tie {
-				t.Fatalf("%s: serial (final %v tie %v) != eager (final %v tie %v)",
-					f.ID, serial.Final, serial.Tie, eager.Final, eager.Tie)
-			}
-			if adaptive.Final != eager.Final || adaptive.Tie != eager.Tie {
-				t.Fatalf("%s: adaptive (final %v tie %v) != eager (final %v tie %v)",
-					f.ID, adaptive.Final, adaptive.Tie, eager.Final, eager.Tie)
-			}
-			if len(adaptive.Skipped) > 0 {
+			if len(got.Skipped) > 0 {
 				skippedFacts++
 			}
-			agree := true
-			for _, v := range eager.Votes {
-				if v.Verdict != eager.Votes[0].Verdict {
-					agree = false
-					break
+			trues := 0
+			for _, v := range verdicts[f.ID] {
+				if v.Bool() {
+					trues++
 				}
 			}
-			if agree {
+			if trues == 0 || trues == len(verdicts[f.ID]) {
 				unanimous++
-				if len(adaptive.Skipped) > 0 {
-					unanimousSkipped++
+				if len(got.Skipped) == 0 {
+					t.Fatalf("%s: unanimous fact skipped no voter", f.ID)
 				}
 			}
 		}
 	}
 	if unanimous == 0 {
 		t.Fatal("no unanimous facts; the differential gate is vacuous")
-	}
-	if unanimousSkipped*2 <= unanimous {
-		t.Fatalf("adaptive skipped votes on %d of %d unanimous facts, want a majority", unanimousSkipped, unanimous)
 	}
 	t.Logf("%d facts: %d unanimous, %d with skipped votes", facts, unanimous, skippedFacts)
 }
@@ -765,7 +731,7 @@ func TestConsensusSkipSetParallelismInvariant(t *testing.T) {
 		for _, dn := range testBench().Config.Datasets {
 			for _, f := range testBench().Datasets[dn].Facts {
 				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/consensus/"+f.ID+"?mode=adaptive", nil))
+				h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/consensus/"+f.ID, nil))
 				if w.Code != http.StatusOK {
 					t.Fatalf("%s: %d %s", f.ID, w.Code, w.Body.String())
 				}
@@ -850,7 +816,7 @@ func TestConsensusStatszCounters(t *testing.T) {
 		verdicts[m] = strategy.True
 	}
 	f := firstFact(dataset.FactBench)
-	if resp, w := getConsensus(t, h, f.ID, "adaptive"); resp == nil {
+	if resp, w := getConsensus(t, h, f.ID); resp == nil {
 		t.Fatalf("consensus: %d %s", w.Code, w.Body.String())
 	}
 	st := statsz()
@@ -865,7 +831,7 @@ func TestConsensusStatszCounters(t *testing.T) {
 	verdicts[quorum[2]] = strategy.False
 	verdicts[svc.plan.Order[3]] = strategy.False
 	g := testBench().Datasets[dataset.FactBench].Facts[1]
-	resp, w := getConsensus(t, h, g.ID, "adaptive")
+	resp, w := getConsensus(t, h, g.ID)
 	if resp == nil {
 		t.Fatalf("consensus: %d %s", w.Code, w.Body.String())
 	}
@@ -875,9 +841,6 @@ func TestConsensusStatszCounters(t *testing.T) {
 	st = statsz()
 	if st.ConsensusRequests != 2 || st.ConsensusDispatched != 7 || st.ConsensusSkipped != 1 || st.ConsensusEscalations != 1 {
 		t.Fatalf("after split quorum: %+v, want 2 requests, 7 dispatched, 1 skipped, 1 escalation", st)
-	}
-	if st.ConsensusArbiters != 0 {
-		t.Fatalf("arbiter calls = %d, want 0 (service reports ties)", st.ConsensusArbiters)
 	}
 }
 
