@@ -281,7 +281,6 @@ func BenchmarkAblationQuestionSelection(b *testing.B) {
 		for _, tau := range []float64{0.3, 0.5, 0.7} {
 			for _, nq := range []int{1, 3, 5} {
 				p := rag.New(bench.Engine)
-				p.DisableCache = true
 				p.Config.Tau = tau
 				p.Config.SelectedQuestions = nq
 				f1t, f1f := ablationF1(b, bench, p, facts)
@@ -303,14 +302,12 @@ func BenchmarkAblationDocSelection(b *testing.B) {
 		out = ""
 		for _, kd := range []int{2, 5, 10, 20} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.SelectedDocs = kd
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("k_d=%-2d window=3 -> F1(T)=%.2f F1(F)=%.2f\n", kd, f1t, f1f)
 		}
 		for _, win := range []int{1, 3, 5} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.Window = win
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("k_d=10 window=%d -> F1(T)=%.2f F1(F)=%.2f\n", win, f1t, f1f)
@@ -331,7 +328,6 @@ func BenchmarkAblationSourceFilter(b *testing.B) {
 		out = ""
 		for _, filter := range []bool{true, false} {
 			p := rag.New(bench.Engine)
-			p.DisableCache = true
 			p.Config.FilterSKG = filter
 			f1t, f1f := ablationF1(b, bench, p, facts)
 			out += fmt.Sprintf("filterSKG=%-5v -> F1(T)=%.2f F1(F)=%.2f\n", filter, f1t, f1f)
@@ -755,9 +751,9 @@ func benchmarkSearchPath(b *testing.B, mode string, par int) {
 // CandidateCap of 120 docs) against the verbalised sentence, then selecting
 // k_d. The dense path re-embeds the reference and every candidate per call,
 // exactly as the retired pipeline did; the sparse path embeds the reference
-// once and consumes the doc table's precomputed vectors. Scores and
-// selection are bit-identical (see internal/rag's golden tests); only the
-// cost differs.
+// once and scores the doc table's precomputed vectors through ScoreBatch,
+// the path rag.Pipeline runs. Scores and selection are bit-identical (see
+// internal/rag's golden tests); only the cost differs.
 func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	bench := core.NewBenchmark(core.Config{Scale: 0.1, Small: true})
 	ranker := rerank.NewDocumentRanker()
@@ -779,7 +775,7 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	for i := 0; i < b.N; i++ {
 		docs := make([]scoredDoc, 0, len(items))
 		if sparse {
-			refVec := text.SparseEmbed(sentence)
+			score := ranker.ScoreBatch(text.SparseEmbed(sentence), sentence)
 			for _, it := range items {
 				de, err := bench.Engine.FetchEvidence(it.DocID)
 				if err != nil {
@@ -788,7 +784,7 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 				if de.Empty || de.Text == "" {
 					continue
 				}
-				s := ranker.ScoreVec(refVec, sentence, de.Vec, de.Full)
+				s := score(de.Vec, de.Full)
 				docs = append(docs, scoredDoc{id: de.DocID, score: s})
 			}
 		} else {
@@ -816,50 +812,42 @@ func benchmarkRerankDocs(b *testing.B, sparse bool) {
 	}
 }
 
-// BenchmarkRerankDocs is the tentpole's microbench: the dense/sparse gap on
-// a full candidate-pool document rerank.
+// BenchmarkRerankDocs measures the dense/sparse gap on a full
+// candidate-pool document rerank.
 func BenchmarkRerankDocs(b *testing.B) {
 	b.Run("dense", func(b *testing.B) { benchmarkRerankDocs(b, false) })
 	b.Run("sparse", func(b *testing.B) { benchmarkRerankDocs(b, true) })
 }
 
-// benchmarkColdCell times one cold, store-less verification cell — every
+// BenchmarkColdCell times one cold, store-less verification cell — every
 // fact of the FactBench x RAG x gemma2 slice verified end-to-end with no
 // result store, no verdict cache, and the evidence cache dropped before
 // each iteration, so every timed run pays full retrieval (question
 // generation and ranking, SERP queries, document reranking, chunking) and
 // model simulation for every fact. The static corpus substrate — document
-// pools and inverted indexes — is materialised once outside the timer, as
-// in PR 2's steady-state search benches: that is the serving steady state,
-// where the 512-fact shard store is warm but nothing about a request's
-// verification is cached. The dense baseline re-embeds the reference and
-// every candidate per rerank call, exactly as the retired pipeline did.
-func benchmarkColdCell(b *testing.B, dense bool) {
-	cfg := core.Config{Scale: 0.05, Small: true}
-	ctx := context.Background()
-	bench := core.NewBenchmark(cfg)
-	bench.Pipeline.DenseScoring = dense
-	// Warm pools and indexes; verification state is re-cooled per iteration.
-	if _, err := bench.RunCell(ctx, dataset.FactBench, llm.MethodRAG, llm.Gemma2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bench.Pipeline.ClearCache()
-		b.StartTimer()
+// pools and inverted indexes — is materialised once outside the timer:
+// that is the serving steady state, where the 512-fact shard store is warm
+// but nothing about a request's verification is cached. The leaf keeps its
+// "sparse" name so bench-smoke rows stay comparable across commits.
+func BenchmarkColdCell(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
+		cfg := core.Config{Scale: 0.05, Small: true}
+		ctx := context.Background()
+		bench := core.NewBenchmark(cfg)
+		// Warm pools and indexes; verification state is re-cooled per iteration.
 		if _, err := bench.RunCell(ctx, dataset.FactBench, llm.MethodRAG, llm.Gemma2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkColdCell is the tentpole's macrobench: the dense/sparse gap on a
-// whole cold verification cell. Outputs are byte-identical across the two
-// paths (golden-tested); the gap is pure scoring-substrate cost.
-func BenchmarkColdCell(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchmarkColdCell(b, true) })
-	b.Run("sparse", func(b *testing.B) { benchmarkColdCell(b, false) })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			bench.Pipeline.ClearCache()
+			b.StartTimer()
+			if _, err := bench.RunCell(ctx, dataset.FactBench, llm.MethodRAG, llm.Gemma2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // corpusScaleEngine builds a standalone search engine whose per-fact pools

@@ -223,7 +223,7 @@ func (b *Benchmark) ComputeRAGStats(sample int) RAGStats {
 	st := RAGStats{MinDocs: 1 << 30}
 	var perFact [][]question.Question
 	var counts []float64
-	ranker := b.Pipeline.QuestionRanker
+	ranker := rerank.NewQuestionRanker()
 	for _, dn := range b.Config.Datasets {
 		d := b.Datasets[dn]
 		facts := d.Facts
@@ -238,8 +238,7 @@ func (b *Benchmark) ComputeRAGStats(sample int) RAGStats {
 			for i := range qs {
 				texts[i] = qs[i].Text
 			}
-			// Rank embeds the reference sentence once for all k_q questions
-			// on vector-aware rankers; scores are identical either way.
+			// Rank embeds the reference sentence once for all k_q questions.
 			for _, r := range rerank.Rank(ranker, sentence, texts) {
 				qs[r.Index].Score = r.Score
 			}

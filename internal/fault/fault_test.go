@@ -97,6 +97,12 @@ func TestParse(t *testing.T) {
 	invalid := [][]string{
 		{"err=2"},                              // rate out of range
 		{"err=x"},                              // not a number
+		{"err=NaN"},                            // not finite
+		{"spike-rate=nan"},                     // not finite
+		{"stall=NaN"},                          // not finite
+		{"store-corrupt=NaN"},                  // not finite
+		{"ingest-err=NaN"},                     // not finite
+		{"err=Inf"},                            // not finite
 		{"fail-first=-1"},                      // negative count
 		{"spike=-5ms"},                         // negative duration
 		{"spike=soon"},                         // not a duration
@@ -117,6 +123,37 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%v) accepted", specs)
 		}
 	}
+}
+
+// FuzzPlanParse folds arbitrary -fault flag values into one plan: parsing
+// never panics, and a plan that parsed without error holds only rates in
+// [0, 1] and non-negative fail-first counts and spike durations.
+func FuzzPlanParse(f *testing.F) {
+	f.Add("err=NaN", "")
+	f.Add("err=0.1,spike=50ms,spike-rate=0.2", "model=mistral:7b,down")
+	f.Add("fail-first=3,stall=0.5", "store-corrupt=0.5,ingest-err=0.25")
+	f.Add("model=a,err=0.1", "model=a,err=0.2")
+	f.Add("err=-0,spike=0s", "bogus")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var p Plan
+		for _, spec := range []string{a, b} {
+			if err := p.Parse(spec); err != nil {
+				return
+			}
+		}
+		inRange := func(r float64) bool { return r >= 0 && r <= 1 }
+		if !inRange(p.CorruptRate) || !inRange(p.IngestRate) {
+			t.Fatalf("Parse(%q, %q): plan-wide rates out of [0, 1]: %+v", a, b, p)
+		}
+		for m, s := range p.Models {
+			if !inRange(s.ErrRate) || !inRange(s.SpikeRate) || !inRange(s.StallRate) {
+				t.Fatalf("Parse(%q, %q): model %q rates out of [0, 1]: %+v", a, b, m, s)
+			}
+			if s.FailFirst < 0 || s.Spike < 0 {
+				t.Fatalf("Parse(%q, %q): model %q negative fail-first or spike: %+v", a, b, m, s)
+			}
+		}
+	})
 }
 
 func TestEmptyPlanAndNilInjector(t *testing.T) {

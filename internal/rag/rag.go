@@ -92,22 +92,16 @@ func DefaultConfig() Config {
 // retrieves once. The cache is sharded by fact ID and deduplicates
 // concurrent retrievals (singleflight), so the whole-grid scheduler can fan
 // N models out over the same fact and still trigger exactly one retrieval.
+// Call ClearCache after changing Config.
 type Pipeline struct {
-	Searcher       search.Searcher
-	QuestionRanker rerank.Scorer
-	DocRanker      rerank.Scorer
-	Config         Config
-	// DisableCache turns off evidence caching (used by ablation benches
-	// that mutate Config between calls).
-	DisableCache bool
-	// DenseScoring forces the retired dense scoring path: every rerank call
-	// re-embeds both strings and chunking re-splits fetched text. It is the
-	// differential baseline — golden tests pin the sparse path (precomputed
-	// doc vectors, reference embedded once per fact) byte-identical to it,
-	// and the cold-cell benches measure the gap.
-	DenseScoring bool
+	Searcher search.Searcher
+	Config   Config
 
-	cache evidenceCache
+	// questionRanker and docRanker are the paper's two cross-encoders
+	// (Table 4), set by New.
+	questionRanker *rerank.CrossEncoder
+	docRanker      *rerank.CrossEncoder
+	cache          evidenceCache
 }
 
 // evidenceShards is the shard count of the evidence cache. Sharding keeps
@@ -166,9 +160,9 @@ func (c *evidenceCache) clear() {
 func New(s search.Searcher) *Pipeline {
 	return &Pipeline{
 		Searcher:       s,
-		QuestionRanker: rerank.NewQuestionRanker(),
-		DocRanker:      rerank.NewDocumentRanker(),
 		Config:         DefaultConfig(),
+		questionRanker: rerank.NewQuestionRanker(),
+		docRanker:      rerank.NewDocumentRanker(),
 	}
 }
 
@@ -215,9 +209,6 @@ func (p *Pipeline) Retrieve(f *dataset.Fact) (*Evidence, error) {
 // never cancels a retrieval — evidence is shared across callers, so the
 // owner always runs to completion.
 func (p *Pipeline) RetrieveCtx(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
-	if p.DisableCache {
-		return p.retrieve(ctx, f)
-	}
 	s := p.cache.shard(f.ID)
 	s.mu.Lock()
 	e, ok := s.entries[f.ID]
@@ -256,18 +247,10 @@ func (p *Pipeline) RetrieveCtx(ctx context.Context, f *dataset.Fact) (*Evidence,
 
 // Warm ensures the fact's evidence is cached, sharing the same
 // singleflight path as Retrieve. It is the prefetch entry point the grid
-// scheduler uses to retrieve once per fact before fanning models out.
-// Warming builds the fact's index shard as a side effect (the engine
-// materialises pool + posting lists on first query); with evidence caching
-// disabled, Warm still builds the index shard when the searcher supports it
-// instead of wasting a full retrieval.
+// scheduler uses to retrieve once per fact before fanning models out;
+// warming builds the fact's index shard as a side effect (the engine
+// materialises pool + posting lists on first query).
 func (p *Pipeline) Warm(f *dataset.Fact) error {
-	if p.DisableCache {
-		if w, ok := p.Searcher.(search.Warmer); ok {
-			return w.Warm(f.ID)
-		}
-		return nil
-	}
 	_, err := p.Retrieve(f)
 	return err
 }
@@ -284,49 +267,30 @@ func (p *Pipeline) Invalidate(factID string) {
 	p.cache.invalidate(factID)
 }
 
-// retrieve runs phases 1–4. The sparse path is the production one:
-// the sentence is embedded once, document vectors come precomputed from the
-// engine's doc table, and chunking reuses the doc table's sentence splits.
-// DenseScoring (or a searcher/ranker without vector support) falls back to
-// the dense reference path; both produce byte-identical Evidence — golden
-// tested, since result-store fingerprints and served verdicts flow from it.
+// retrieve runs phases 1–4. The sentence is embedded once; every question
+// and fetched document is scored from its sparse embedding against it, and
+// chunks come from each selected document's sentence split. The in-process
+// engine serves document vectors and splits from its doc table; any other
+// searcher's payloads are embedded and split on the fly by
+// search.EvidenceOf. Evidence is golden-tested against the dense reference
+// (per-pair Score, plain Fetch, chunk.Sliding), since result-store
+// fingerprints and served verdicts flow from it.
 func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, error) {
 	cfg := p.Config
 	ev := &Evidence{}
 
 	// Phase 1: triple transformation.
 	ev.Sentence = verbalize.Sentence(f)
+	sentVec := text.SparseEmbed(ev.Sentence)
 
-	// The sparse path needs a vector-aware ranker for each stage it
-	// accelerates; stages degrade to the dense path independently.
-	qRanker, qVec := p.QuestionRanker.(rerank.VecScorer)
-	dRanker, dVec := p.DocRanker.(rerank.VecScorer)
-	if p.DenseScoring {
-		qVec, dVec = false, false
-	}
-	var sentVec text.SparseVector
-	if qVec || dVec {
-		sentVec = text.SparseEmbed(ev.Sentence)
-	}
-
-	// Phase 2: question generation and ranking. The reference sentence is
-	// embedded exactly once for all k_q candidates.
+	// Phase 2: question generation and ranking.
 	endQuestions := phaseSpan(ctx, "rag_questions", questionsHist)
 	qs := question.Generate(f, cfg.NumQuestions)
-	texts := make([]string, len(qs))
+	cands := make([]rerank.Candidate, len(qs))
 	for i := range qs {
-		texts[i] = qs[i].Text
+		cands[i] = rerank.Candidate{Text: qs[i].Text, Vec: text.SparseEmbed(qs[i].Text)}
 	}
-	var ranked []rerank.Ranked
-	if qVec {
-		cands := make([]rerank.Candidate, len(texts))
-		for i, t := range texts {
-			cands[i] = rerank.Candidate{Text: t, Vec: text.SparseEmbed(t)}
-		}
-		ranked = rerank.RankVecs(qRanker, sentVec, ev.Sentence, cands)
-	} else {
-		ranked = rerank.Rank(rerank.DenseOnly(p.QuestionRanker), ev.Sentence, texts)
-	}
+	ranked := rerank.RankVecs(p.questionRanker, sentVec, ev.Sentence, cands)
 	for _, r := range ranked {
 		qs[r.Index].Score = r.Score
 	}
@@ -337,7 +301,7 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	}
 	ev.Queries = append(ev.Queries, ev.Sentence)
 	for _, r := range kept {
-		ev.Queries = append(ev.Queries, texts[r.Index])
+		ev.Queries = append(ev.Queries, qs[r.Index].Text)
 	}
 	endQuestions()
 
@@ -368,66 +332,33 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 	}
 	endSearch()
 
-	// Phase 4a: fetch and rerank documents against the sentence. On the
-	// sparse path each candidate's vector comes precomputed from the doc
-	// table — no document is ever re-embedded — and the batch scorer
-	// amortises the reference's noise-key prefix across the whole pool.
-	// dVec is already false under DenseScoring, which keeps the dense
-	// baseline on plain Fetch as well.
+	// Phase 4a: fetch and rerank documents against the sentence. The batch
+	// scorer amortises the reference's noise-key prefix across the pool.
 	endRerank := phaseSpan(ctx, "rag_rerank", rerankHist)
-	fetcher, fetchVec := p.Searcher.(search.EvidenceFetcher)
-	fetchVec = fetchVec && dVec
-	var scoreVec func(cand text.SparseVector, candText string) float64
-	if dVec {
-		if bs, ok := dRanker.(rerank.BatchScorer); ok {
-			scoreVec = bs.ScoreBatch(sentVec, ev.Sentence)
-		} else {
-			scoreVec = func(cand text.SparseVector, candText string) float64 {
-				return dRanker.ScoreVec(sentVec, ev.Sentence, cand, candText)
-			}
-		}
+	fetch := p.fetchEvidence
+	if ef, ok := p.Searcher.(search.EvidenceFetcher); ok {
+		fetch = ef.FetchEvidence
 	}
+	score := p.docRanker.ScoreBatch(sentVec, ev.Sentence)
 	type scoredDoc struct {
-		doc   search.DocPayload
-		ev    search.DocEvidence // sparse path only
+		ev    search.DocEvidence
 		score float64
 	}
 	var docs []scoredDoc
 	for _, it := range serpItems {
-		if fetchVec {
-			de, err := fetcher.FetchEvidence(it.DocID)
-			if err != nil {
-				return nil, fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
-			}
-			if de.Empty || de.Text == "" {
-				continue // extraction failures carry no usable evidence
-			}
-			docs = append(docs, scoredDoc{doc: de.DocPayload, ev: de, score: scoreVec(de.Vec, de.Full)})
-			continue
-		}
-		d, err := p.Searcher.Fetch(it.DocID)
+		de, err := fetch(it.DocID)
 		if err != nil {
 			return nil, fmt.Errorf("rag: fetch %s: %w", it.DocID, err)
 		}
-		if d.Empty || d.Text == "" {
-			continue
+		if de.Empty || de.Text == "" {
+			continue // extraction failures carry no usable evidence
 		}
-		var s float64
-		if dVec {
-			// Vector-aware ranker over a plain searcher (e.g. the HTTP
-			// client): embed the fetched candidate once, reference still
-			// embedded once per fact.
-			full := d.Title + " " + d.Text
-			s = scoreVec(text.SparseEmbed(full), full)
-		} else {
-			s = p.DocRanker.Score(ev.Sentence, d.Title+" "+d.Text)
-		}
-		docs = append(docs, scoredDoc{doc: d, score: s})
+		docs = append(docs, scoredDoc{ev: de, score: score(de.Vec, de.Full)})
 	}
-	// Sort an index permutation instead of the fat entries (a scoredDoc
-	// carries two payload structs; swapping them dominated the sort).
-	// (score desc, doc ID asc) is a total order over unique doc IDs, so the
-	// permutation equals the retired sort.SliceStable's order exactly.
+	// Sort an index permutation instead of swapping the fat DocEvidence
+	// entries. (score desc, doc ID asc) is a total order over unique doc
+	// IDs, so the permutation equals the retired sort.SliceStable's order
+	// exactly.
 	order := make([]int, len(docs))
 	for i := range order {
 		order[i] = i
@@ -439,24 +370,19 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 		case docs[a].score < docs[b].score:
 			return 1
 		}
-		return strings.Compare(docs[a].doc.DocID, docs[b].doc.DocID)
+		return strings.Compare(docs[a].ev.DocID, docs[b].ev.DocID)
 	})
 	if len(order) > cfg.SelectedDocs {
 		order = order[:cfg.SelectedDocs]
 	}
 	endRerank()
 
-	// Phase 4b: sliding-window chunking, served from the doc table's cached
-	// sentence splits on the sparse path.
+	// Phase 4b: sliding-window chunking over the selected documents.
 	endChunk := phaseSpan(ctx, "rag_chunk", chunkHist)
 	for _, i := range order {
-		sd := &docs[i]
-		ev.Docs = append(ev.Docs, sd.doc)
-		if fetchVec {
-			ev.Chunks = append(ev.Chunks, sd.ev.Chunks(cfg.Window)...)
-		} else {
-			ev.Chunks = append(ev.Chunks, chunk.Sliding(sd.doc.DocID, sd.doc.Text, cfg.Window)...)
-		}
+		de := &docs[i].ev
+		ev.Docs = append(ev.Docs, de.DocPayload)
+		ev.Chunks = append(ev.Chunks, de.Chunks(cfg.Window)...)
 	}
 	if len(ev.Chunks) > cfg.MaxChunks {
 		ev.Chunks = ev.Chunks[:cfg.MaxChunks]
@@ -465,6 +391,16 @@ func (p *Pipeline) retrieve(ctx context.Context, f *dataset.Fact) (*Evidence, er
 
 	ev.Latency = p.retrievalLatency(f, len(ev.Queries), ev.Candidates)
 	return ev, nil
+}
+
+// fetchEvidence fetches a document's payload from a searcher without a doc
+// table and builds its scoring state on the fly.
+func (p *Pipeline) fetchEvidence(docID string) (search.DocEvidence, error) {
+	d, err := p.Searcher.Fetch(docID)
+	if err != nil {
+		return search.DocEvidence{}, err
+	}
+	return search.EvidenceOf(d), nil
 }
 
 // retrievalLatency models the wall-clock cost of phase 3 and 4: one SERP

@@ -130,17 +130,6 @@ func TestRetrieveCache(t *testing.T) {
 	}
 }
 
-func TestRetrieveDisableCache(t *testing.T) {
-	p, d := pipeline(t)
-	p.DisableCache = true
-	f := d.Facts[2]
-	a, _ := p.Retrieve(f)
-	b, _ := p.Retrieve(f)
-	if a == b {
-		t.Error("cache used despite DisableCache")
-	}
-}
-
 func TestQuestionThresholdRespected(t *testing.T) {
 	p, d := pipeline(t)
 	for _, f := range d.Facts[:20] {
@@ -343,7 +332,7 @@ func TestConcurrentRetrieveManyFacts(t *testing.T) {
 	}
 }
 
-func TestWarmPopulatesCacheAndRespectsDisable(t *testing.T) {
+func TestWarmPopulatesCache(t *testing.T) {
 	p, d := pipeline(t)
 	f := d.Facts[3]
 	if err := p.Warm(f); err != nil {
@@ -356,45 +345,5 @@ func TestWarmPopulatesCacheAndRespectsDisable(t *testing.T) {
 	b, _ := p.Retrieve(f)
 	if a != b {
 		t.Error("Warm did not populate the cache")
-	}
-
-	p2, d2 := pipeline(t)
-	p2.DisableCache = true
-	if err := p2.Warm(d2.Facts[0]); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWarmBuildsIndexWithCacheDisabled asserts prefetch still materialises
-// the engine's index shard when evidence caching is off — it warms the
-// searcher instead of running (and discarding) a full retrieval.
-func TestWarmBuildsIndexWithCacheDisabled(t *testing.T) {
-	w := world.New(world.SmallConfig())
-	d := dataset.Build(w, dataset.FactBench, 0.1)
-	eng := search.NewEngine(corpus.NewGenerator(w), d)
-	p := New(eng)
-	p.DisableCache = true
-	if err := p.Warm(d.Facts[0]); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.CachedFacts != 1 || st.IndexedDocs == 0 {
-		t.Errorf("Warm did not build the index shard: %+v", st)
-	}
-	// One store miss and no hits: Warm materialised the index without
-	// running a full (multi-query) retrieval.
-	if st.Misses != 1 || st.Hits != 0 {
-		t.Errorf("Warm hit the store %d/%d (hits/misses), want 0/1 — did it run a retrieval?",
-			st.Hits, st.Misses)
-	}
-	// A searcher without Warm support stays a no-op.
-	cs := &countingSearcher{Searcher: eng}
-	p2 := New(cs)
-	p2.DisableCache = true
-	if err := p2.Warm(d.Facts[1]); err != nil {
-		t.Fatal(err)
-	}
-	if cs.searches.Load() != 0 {
-		t.Errorf("no-op Warm issued %d SERP queries", cs.searches.Load())
 	}
 }

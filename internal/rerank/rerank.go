@@ -14,37 +14,6 @@ import (
 	"factcheck/internal/text"
 )
 
-// Scorer scores the relevance of a candidate text to a reference text.
-type Scorer interface {
-	// Score returns a relevance score in (0,1) of candidate w.r.t.
-	// reference; higher is more relevant.
-	Score(reference, candidate string) float64
-	// Name identifies the scorer (model name in the paper's Table 4).
-	Name() string
-}
-
-// VecScorer is a Scorer that can score precomputed sparse embeddings.
-// ScoreVec must return exactly what Score(refText, candText) returns when
-// ref and cand are the sparse embeddings of those texts — the vector form
-// skips re-embedding, not any part of the score. Both raw texts still
-// travel with the vectors because the deterministic noise component is
-// keyed by the text pair, not the embeddings.
-type VecScorer interface {
-	Scorer
-	// ScoreVec scores cand against ref from their sparse embeddings.
-	ScoreVec(ref text.SparseVector, refText string, cand text.SparseVector, candText string) float64
-}
-
-// BatchScorer is a VecScorer that amortises per-reference state across a
-// candidate batch (one reference is scored against up to CandidateCap
-// documents per fact). The returned function must produce exactly what
-// ScoreVec produces for the same reference and candidate.
-type BatchScorer interface {
-	VecScorer
-	// ScoreBatch fixes the reference and returns the per-candidate scorer.
-	ScoreBatch(ref text.SparseVector, refText string) func(cand text.SparseVector, candText string) float64
-}
-
 // CrossEncoder is the lexical stand-in for the paper's neural rerankers.
 // Two calibration profiles mirror the two models the paper configures.
 type CrossEncoder struct {
@@ -71,30 +40,26 @@ func NewDocumentRanker() *CrossEncoder {
 	return &CrossEncoder{name: "ms-marco-MiniLM-L-6-v2", gain: 5.0, bias: -1.2, noise: 0.06}
 }
 
-// Name implements Scorer.
+// Name identifies the ranker (model name in the paper's Table 4).
 func (c *CrossEncoder) Name() string { return c.name }
 
-// Score implements Scorer: sigmoid(gain*cosine + bias + noise). It embeds
-// both strings densely on every call — the reference implementation the
-// sparse path is golden-tested against.
+// Score returns the relevance of candidate to reference in (0,1):
+// sigmoid(gain*cosine + bias + noise). It embeds both strings densely on
+// every call — the reference implementation ScoreBatch is tested against.
 func (c *CrossEncoder) Score(reference, candidate string) float64 {
 	cos := text.Similarity(reference, candidate)
-	return c.calibrate(cos, reference, candidate)
+	n := (det.Uniform("rerank", c.name, reference, candidate) - 0.5) * 2 * c.noise
+	return text.Sigmoid(c.gain*cos + c.bias + n)
 }
 
-// ScoreVec implements VecScorer over precomputed sparse embeddings. The
-// sparse cosine is bit-identical to the dense one (see text.SparseCosine),
-// and the noise is keyed by the same raw text pair, so ScoreVec ==
-// Score(refText, candText) exactly.
-func (c *CrossEncoder) ScoreVec(ref text.SparseVector, refText string, cand text.SparseVector, candText string) float64 {
-	cos := text.SparseCosine(ref, cand)
-	return c.calibrate(cos, refText, candText)
-}
-
-// ScoreBatch implements BatchScorer: the returned function scores
-// candidates against the fixed reference, with the noise stream's
-// ("rerank", model, reference) hash prefix computed once for the whole
-// batch. Every value equals ScoreVec with the same reference.
+// ScoreBatch fixes the reference and returns a scorer over precomputed
+// sparse embeddings, with the noise stream's ("rerank", model, reference)
+// hash prefix computed once for the whole batch. The sparse cosine is
+// bit-identical to the dense one (see text.SparseCosine) and the noise is
+// keyed by the same raw text pair, so f(cand, candText) ==
+// Score(refText, candText) exactly when ref and cand are the sparse
+// embeddings of those texts. Both raw texts still travel with the vectors
+// because the noise is keyed by the text pair, not the embeddings.
 func (c *CrossEncoder) ScoreBatch(ref text.SparseVector, refText string) func(cand text.SparseVector, candText string) float64 {
 	key := det.NewKey("rerank", c.name, refText)
 	return func(cand text.SparseVector, candText string) float64 {
@@ -104,13 +69,6 @@ func (c *CrossEncoder) ScoreBatch(ref text.SparseVector, refText string) func(ca
 	}
 }
 
-// calibrate applies the sigmoid calibration and the text-pair-keyed noise
-// shared by both scoring paths.
-func (c *CrossEncoder) calibrate(cos float64, reference, candidate string) float64 {
-	n := (det.Uniform("rerank", c.name, reference, candidate) - 0.5) * 2 * c.noise
-	return text.Sigmoid(c.gain*cos + c.bias + n)
-}
-
 // Ranked pairs an index into the candidate slice with its score.
 type Ranked struct {
 	Index int
@@ -118,23 +76,14 @@ type Ranked struct {
 }
 
 // Rank scores every candidate against the reference and returns them in
-// descending score order (stable on ties by original index). When the
-// scorer is vector-aware the reference is embedded exactly once instead of
-// once per candidate; scores are identical either way.
-func Rank(s Scorer, reference string, candidates []string) []Ranked {
-	if vs, ok := s.(VecScorer); ok {
-		cands := make([]Candidate, len(candidates))
-		for i, c := range candidates {
-			cands[i] = Candidate{Text: c, Vec: text.SparseEmbed(c)}
-		}
-		return RankVecs(vs, text.SparseEmbed(reference), reference, cands)
+// descending score order (stable on ties by original index). The reference
+// is embedded once, not once per candidate; scores equal Score exactly.
+func Rank(c *CrossEncoder, reference string, candidates []string) []Ranked {
+	cands := make([]Candidate, len(candidates))
+	for i, t := range candidates {
+		cands[i] = Candidate{Text: t, Vec: text.SparseEmbed(t)}
 	}
-	out := make([]Ranked, len(candidates))
-	for i, c := range candidates {
-		out[i] = Ranked{Index: i, Score: s.Score(reference, c)}
-	}
-	sortRanked(out)
-	return out
+	return RankVecs(c, text.SparseEmbed(reference), reference, cands)
 }
 
 // Candidate pairs a candidate text with its precomputed sparse embedding,
@@ -144,26 +93,16 @@ type Candidate struct {
 	Vec  text.SparseVector
 }
 
-// RankVecs is the batch form of Rank over precomputed embeddings: the
-// reference vector is supplied by the caller (embedded once per fact, not
-// per candidate) and every candidate carries its own precomputed vector —
-// static corpus documents are embedded at materialisation, never re-embedded
-// per rerank. Scores and order are identical to Rank over the same texts.
-func RankVecs(s VecScorer, ref text.SparseVector, refText string, cands []Candidate) []Ranked {
-	score := func(c Candidate) float64 { return s.ScoreVec(ref, refText, c.Vec, c.Text) }
-	if bs, ok := s.(BatchScorer); ok {
-		f := bs.ScoreBatch(ref, refText)
-		score = func(c Candidate) float64 { return f(c.Vec, c.Text) }
-	}
+// RankVecs is Rank over precomputed embeddings: the reference vector is
+// supplied by the caller (embedded once per fact, not per candidate) and
+// every candidate carries its own vector. Scores and order are identical
+// to Rank over the same texts.
+func RankVecs(c *CrossEncoder, ref text.SparseVector, refText string, cands []Candidate) []Ranked {
+	score := c.ScoreBatch(ref, refText)
 	out := make([]Ranked, len(cands))
-	for i, c := range cands {
-		out[i] = Ranked{Index: i, Score: score(c)}
+	for i, cand := range cands {
+		out[i] = Ranked{Index: i, Score: score(cand.Vec, cand.Text)}
 	}
-	sortRanked(out)
-	return out
-}
-
-func sortRanked(out []Ranked) {
 	// Stable on ties by original index, exactly like the retired
 	// sort.SliceStable, without the reflection-based swapper.
 	slices.SortStableFunc(out, func(a, b Ranked) int {
@@ -175,27 +114,7 @@ func sortRanked(out []Ranked) {
 		}
 		return 0
 	})
-}
-
-// DenseOnly wraps a scorer so it exposes only the dense Score path, hiding
-// any VecScorer fast path from Rank. It exists for the differential
-// baseline: benches and golden tests run the retired dense pipeline through
-// it and pin the sparse path byte-identical.
-func DenseOnly(s Scorer) Scorer { return denseOnly{s} }
-
-type denseOnly struct{ s Scorer }
-
-func (d denseOnly) Score(reference, candidate string) float64 { return d.s.Score(reference, candidate) }
-func (d denseOnly) Name() string                              { return d.s.Name() }
-
-// TopK returns the indices of the k highest-scoring candidates (all if
-// k <= 0 or k exceeds the candidate count).
-func TopK(s Scorer, reference string, candidates []string, k int) []Ranked {
-	r := Rank(s, reference, candidates)
-	if k > 0 && k < len(r) {
-		r = r[:k]
-	}
-	return r
+	return out
 }
 
 // FilterThreshold keeps candidates scoring at least tau, preserving rank

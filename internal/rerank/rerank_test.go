@@ -68,23 +68,6 @@ func TestRankDescending(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	ce := NewDocumentRanker()
-	cands := []string{"a b c", "b c d", "c d e", "x y z"}
-	top := TopK(ce, "a b c", cands, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopK returned %d, want 2", len(top))
-	}
-	all := TopK(ce, "a b c", cands, 0)
-	if len(all) != 4 {
-		t.Fatalf("TopK(0) returned %d, want all 4", len(all))
-	}
-	over := TopK(ce, "a b c", cands, 99)
-	if len(over) != 4 {
-		t.Fatalf("TopK(99) returned %d, want 4", len(over))
-	}
-}
-
 func TestFilterThreshold(t *testing.T) {
 	ranked := []Ranked{{0, 0.9}, {1, 0.6}, {2, 0.4}, {3, 0.1}}
 	kept := FilterThreshold(ranked, 0.5)

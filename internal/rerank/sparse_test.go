@@ -2,6 +2,7 @@ package rerank
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"factcheck/internal/text"
@@ -15,69 +16,61 @@ var scorePairs = []struct{ ref, cand string }{
 	{"shared tokens only", "shared tokens only"},
 }
 
-// TestScoreVecMatchesScore pins the vector path bit-identical to the dense
-// Score for both calibration profiles.
-func TestScoreVecMatchesScore(t *testing.T) {
+// denseRank is the reference ranking: every candidate scored by the dense
+// Score (both strings re-embedded per call), stable-sorted by score.
+func denseRank(c *CrossEncoder, ref string, cands []string) []Ranked {
+	out := make([]Ranked, len(cands))
+	for i, cand := range cands {
+		out[i] = Ranked{Index: i, Score: c.Score(ref, cand)}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	return out
+}
+
+// TestRankVecsMatchesRank pins the vector scoring path bit-identical to the
+// dense Score for both calibration profiles: ScoreBatch pair by pair, and
+// RankVecs over precomputed candidate vectors and Rank over raw texts
+// against the dense reference ranking.
+func TestRankVecsMatchesRank(t *testing.T) {
 	for _, ce := range []*CrossEncoder{NewQuestionRanker(), NewDocumentRanker()} {
 		for _, p := range scorePairs {
 			dense := ce.Score(p.ref, p.cand)
-			sparse := ce.ScoreVec(text.SparseEmbed(p.ref), p.ref, text.SparseEmbed(p.cand), p.cand)
+			sparse := ce.ScoreBatch(text.SparseEmbed(p.ref), p.ref)(text.SparseEmbed(p.cand), p.cand)
 			if dense != sparse {
-				t.Errorf("%s: ScoreVec(%q, %q) = %v, Score = %v", ce.Name(), p.ref, p.cand, sparse, dense)
+				t.Errorf("%s: ScoreBatch(%q)(%q) = %v, Score = %v", ce.Name(), p.ref, p.cand, sparse, dense)
 			}
 		}
 	}
-}
 
-// TestRankFastPathMatchesDense pins Rank's vector-aware fast path (one
-// reference embedding) against the per-call dense path via DenseOnly.
-func TestRankFastPathMatchesDense(t *testing.T) {
-	ce := NewQuestionRanker()
-	ref := "Marie Curie was married to Pierre Curie."
-	cands := []string{
-		"Who was Marie Curie married to?",
-		"Was Marie Curie married to Pierre Curie?",
-		"Which prize did Marie Curie win?",
-		"Regional news roundup",
-		"",
+	cases := []struct {
+		ce    *CrossEncoder
+		ref   string
+		texts []string
+	}{
+		{NewQuestionRanker(), "Marie Curie was married to Pierre Curie.", []string{
+			"Who was Marie Curie married to?",
+			"Was Marie Curie married to Pierre Curie?",
+			"Which prize did Marie Curie win?",
+			"Regional news roundup",
+			"",
+		}},
+		{NewDocumentRanker(), "The subject was born in the capital.", []string{
+			"The subject was born in the capital. Multiple records agree on this point.",
+			"Contrary to some claims, it is not the case that the subject was born there.",
+			"Archive digest",
+		}},
 	}
-	fast := Rank(ce, ref, cands)
-	slow := Rank(DenseOnly(ce), ref, cands)
-	if !reflect.DeepEqual(fast, slow) {
-		t.Fatalf("Rank fast path %v != dense path %v", fast, slow)
-	}
-}
-
-// TestRankVecsMatchesRank pins the batch API over precomputed candidate
-// vectors against Rank over the raw texts.
-func TestRankVecsMatchesRank(t *testing.T) {
-	ce := NewDocumentRanker()
-	ref := "The subject was born in the capital."
-	texts := []string{
-		"The subject was born in the capital. Multiple records agree on this point.",
-		"Contrary to some claims, it is not the case that the subject was born there.",
-		"Archive digest",
-	}
-	cands := make([]Candidate, len(texts))
-	for i, c := range texts {
-		cands[i] = Candidate{Text: c, Vec: text.SparseEmbed(c)}
-	}
-	got := RankVecs(ce, text.SparseEmbed(ref), ref, cands)
-	want := Rank(ce, ref, texts)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RankVecs = %v, Rank = %v", got, want)
-	}
-}
-
-// TestDenseOnlyHidesVecScorer guards the baseline wrapper: the wrapped
-// scorer must not satisfy VecScorer, or benches would silently measure
-// sparse against sparse.
-func TestDenseOnlyHidesVecScorer(t *testing.T) {
-	var s Scorer = DenseOnly(NewQuestionRanker())
-	if _, ok := s.(VecScorer); ok {
-		t.Fatal("DenseOnly exposes VecScorer")
-	}
-	if s.Name() != NewQuestionRanker().Name() {
-		t.Errorf("DenseOnly changes Name: %q", s.Name())
+	for _, tc := range cases {
+		want := denseRank(tc.ce, tc.ref, tc.texts)
+		cands := make([]Candidate, len(tc.texts))
+		for i, c := range tc.texts {
+			cands[i] = Candidate{Text: c, Vec: text.SparseEmbed(c)}
+		}
+		if got := RankVecs(tc.ce, text.SparseEmbed(tc.ref), tc.ref, cands); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RankVecs = %v, dense ranking = %v", tc.ce.Name(), got, want)
+		}
+		if got := Rank(tc.ce, tc.ref, tc.texts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Rank = %v, dense ranking = %v", tc.ce.Name(), got, want)
+		}
 	}
 }

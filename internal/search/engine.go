@@ -620,8 +620,7 @@ func (e *Engine) Fetch(docID string) (DocPayload, error) {
 // state: the full "Title + body" rerank-candidate string, the sparse
 // embedding of that string (computed once at materialisation), and access
 // to the shared sentence split behind sliding-window chunking. It is what
-// the vector-aware RAG pipeline consumes instead of re-embedding and
-// re-splitting every candidate per fact.
+// the RAG pipeline scores and chunks, whichever searcher backs it.
 type DocEvidence struct {
 	DocPayload
 	// Full is Title + " " + Text, the exact candidate string document
@@ -648,10 +647,20 @@ func (d DocEvidence) ChunkVecs(window int) []text.SparseVector {
 	return d.pooled.sentenceSplit().WindowVecs(window)
 }
 
+// EvidenceOf builds a fetched payload's scoring state on the fly, for
+// searchers without a doc table (the HTTP Client: vectors don't travel over
+// the mock API). Full is embedded once and the sentence split is computed
+// on first use, so the result equals Engine.FetchEvidence for the same
+// document.
+func EvidenceOf(d DocPayload) DocEvidence {
+	full := d.Title + " " + d.Text
+	pd := &pooledDoc{full: full, text: d.Text, vec: text.SparseEmbed(full)}
+	return DocEvidence{DocPayload: d, Full: full, Vec: pd.vec, pooled: pd}
+}
+
 // EvidenceFetcher is implemented by searchers whose doc table carries
 // precomputed per-document scoring state. The in-process Engine implements
-// it; the HTTP client does not (vectors don't travel over the mock API), so
-// consumers fall back to Fetch plus on-the-fly embedding.
+// it; other searchers' payloads go through EvidenceOf.
 type EvidenceFetcher interface {
 	// FetchEvidence retrieves a document with its precomputed vector and
 	// chunk state.

@@ -13,8 +13,10 @@ import (
 	"factcheck/internal/world"
 )
 
-// TestFetchEvidenceMatchesFetch pins the vector-aware fetch against plain
-// Fetch plus on-the-fly embedding/splitting, for every document of a SERP.
+// TestFetchEvidenceMatchesFetch pins the doc table's precomputed evidence
+// against plain Fetch plus on-the-fly embedding/splitting, and against
+// EvidenceOf (the route of searchers without a doc table), for every
+// document of a SERP.
 func TestFetchEvidenceMatchesFetch(t *testing.T) {
 	e, d := fixture(t)
 	f := d.Facts[0]
@@ -43,9 +45,17 @@ func TestFetchEvidenceMatchesFetch(t *testing.T) {
 		if want := text.SparseEmbed(de.Full); !reflect.DeepEqual(de.Vec, want) {
 			t.Fatalf("doc %s: precomputed vec differs from SparseEmbed(Full)", it.DocID)
 		}
+		built := EvidenceOf(plain)
+		if built.DocPayload != de.DocPayload || built.Full != de.Full || !reflect.DeepEqual(built.Vec, de.Vec) {
+			t.Fatalf("doc %s: EvidenceOf differs from FetchEvidence", it.DocID)
+		}
 		for _, w := range []int{1, 3} {
-			if got, want := de.Chunks(w), chunk.Sliding(plain.DocID, plain.Text, w); !reflect.DeepEqual(got, want) {
+			want := chunk.Sliding(plain.DocID, plain.Text, w)
+			if got := de.Chunks(w); !reflect.DeepEqual(got, want) {
 				t.Fatalf("doc %s window %d: Chunks = %v, Sliding = %v", it.DocID, w, got, want)
+			}
+			if got := built.Chunks(w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("doc %s window %d: EvidenceOf Chunks = %v, Sliding = %v", it.DocID, w, got, want)
 			}
 			chunks := de.Chunks(w)
 			vecs := de.ChunkVecs(w)

@@ -948,6 +948,9 @@ func TestStatszRetrievalCounters(t *testing.T) {
 
 	before := statsz()
 	f := firstFact(dataset.FactBench)
+	// The bench's evidence cache is shared across tests and repeats: drop
+	// the fact's entry so this verify always retrieves.
+	testBench().Pipeline.Invalidate(f.ID)
 	req := VerifyRequest{Dataset: string(dataset.FactBench), Method: string(llm.MethodRAG), Model: llm.Gemma2, FactID: f.ID}
 	if w := postVerify(t, h, req); w.Code != http.StatusOK {
 		t.Fatalf("verify: %d: %s", w.Code, w.Body.String())
