@@ -19,12 +19,11 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"factcheck/internal/accuracy"
 	"factcheck/internal/core"
-	"factcheck/internal/corpus"
 	"factcheck/internal/dataset"
 	"factcheck/internal/det"
 	"factcheck/internal/eval"
@@ -38,7 +37,6 @@ import (
 	"factcheck/internal/serve"
 	"factcheck/internal/strategy"
 	"factcheck/internal/text"
-	"factcheck/internal/world"
 )
 
 var (
@@ -659,10 +657,11 @@ func BenchmarkServeVerify(b *testing.B) {
 		// so BENCH_N.json records exact histogram percentiles (process-wide
 		// endpoint histogram, dominated by this warm loop's b.N requests)
 		// next to the wall-clock ns/op.
-		if s, ok := obs.Default.Summaries()["endpoint/verify"]; ok {
-			b.ReportMetric(s.P50MS, "p50_ms")
-			b.ReportMetric(s.P95MS, "p95_ms")
-			b.ReportMetric(s.P99MS, "p99_ms")
+		if s := obs.Endpoint("verify").Snapshot(); s.Count > 0 {
+			ms := func(q float64) float64 { return float64(s.Quantile(q)) / float64(time.Millisecond) }
+			b.ReportMetric(ms(0.50), "p50_ms")
+			b.ReportMetric(ms(0.95), "p95_ms")
+			b.ReportMetric(ms(0.99), "p99_ms")
 		}
 	})
 }
@@ -678,70 +677,6 @@ func BenchmarkSearchEngine(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- retrieval substrate benches ----------------------------------------
-
-// searchOnce issues one SERP query over the named retrieval path: "scan"
-// (dense cosine + full sort) or "search" (posting lists + top-k heap, the
-// production path). Both return byte-identical results (see the golden
-// ladder in internal/search); only the cost differs.
-func searchOnce(e *search.Engine, mode, factID, q string, n int) error {
-	var err error
-	if mode == "scan" {
-		_, err = e.ScanSearch(factID, q, n)
-	} else {
-		_, err = e.Search(factID, q, n)
-	}
-	return err
-}
-
-// benchmarkSearchPath measures steady-state SERP query cost — pools warmed
-// outside the timer — over one retrieval path, with `par` goroutines
-// issuing queries concurrently.
-func benchmarkSearchPath(b *testing.B, mode string, par int) {
-	bench, _, _ := grid(b)
-	facts := ablationFacts(bench, 16)
-	queries := []string{
-		"who founded the company",
-		"award winner record",
-		"married in the capital",
-		"regional registry profile",
-	}
-	for _, f := range facts {
-		// Warm both paths' per-pool state: index shards and scan vectors.
-		if _, err := bench.Engine.Search(f.ID, queries[0], 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bench.Engine.ScanSearch(f.ID, queries[0], 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Exactly par worker goroutines drain a shared iteration counter
-	// (b.RunParallel would multiply par by GOMAXPROCS, mislabelling the
-	// stream count on multi-core hosts).
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i > b.N {
-					return
-				}
-				f := facts[i%len(facts)]
-				q := queries[i%len(queries)]
-				if err := searchOnce(bench.Engine, mode, f.ID, q, search.DefaultSERPSize); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // --- sparse scoring substrate benches ------------------------------------
@@ -850,77 +785,6 @@ func BenchmarkColdCell(b *testing.B) {
 	})
 }
 
-// corpusScaleEngine builds a standalone search engine whose per-fact pools
-// follow `scale`× the paper's size distribution (mean ≈155·scale docs), so
-// the scan/indexed asymptotics separate as the corpus grows. Pools
-// for the benched facts are materialised (and both paths' per-pool state
-// warmed) outside the timer.
-func corpusScaleEngine(b *testing.B, scale int) (*search.Engine, []*dataset.Fact) {
-	b.Helper()
-	w := world.New(world.SmallConfig())
-	d := dataset.Build(w, dataset.FactBench, 0.2)
-	gen := corpus.NewGenerator(w)
-	gen.MeanDocs *= float64(scale)
-	gen.StdDocs *= float64(scale)
-	gen.MaxDocs *= scale
-	e := search.NewEngine(gen, d)
-	facts := d.Facts
-	if len(facts) > 4 {
-		facts = facts[:4]
-	}
-	for _, f := range facts {
-		if _, err := e.Search(f.ID, "warm", 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.ScanSearch(f.ID, "warm", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return e, facts
-}
-
-// benchmarkSearchScale runs steady-state SERP queries over one retrieval
-// path at a given corpus scale. Queries are fact-derived, like the RAG
-// pipeline's (the claim sentence and its entity labels) — the production
-// retrieval workload, where query terms overlap the fact's pool.
-func benchmarkSearchScale(b *testing.B, mode string, scale int) {
-	e, facts := corpusScaleEngine(b, scale)
-	type job struct{ factID, query string }
-	var jobs []job
-	for _, f := range facts {
-		c := strategy.ClaimFor(f)
-		for _, q := range []string{
-			c.Sentence,
-			f.Subject.Label + " " + f.Object.Label,
-			"evidence about " + c.Sentence,
-			"the record " + f.Object.Label,
-		} {
-			jobs = append(jobs, job{f.ID, q})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := jobs[i%len(jobs)]
-		if err := searchOnce(e, mode, j.factID, j.query, search.DefaultSERPSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// searchBench enumerates one path's sub-benchmarks: 1 and 8 concurrent
-// query streams over the shared grid fixture, plus single-stream runs at
-// growing corpus scales: scan grows with pool size times vector width,
-// indexed with the postings of the query's dimensions. The 10× and 100×
-// scales are not served; they show what exhaustive retrieval would cost
-// on larger pools.
-func searchBench(b *testing.B, mode string) {
-	b.Run("par1", func(b *testing.B) { benchmarkSearchPath(b, mode, 1) })
-	b.Run("par8", func(b *testing.B) { benchmarkSearchPath(b, mode, 8) })
-	for _, scale := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("corpus%dx", scale), func(b *testing.B) { benchmarkSearchScale(b, mode, scale) })
-	}
-}
-
 // --- consensus engine benches ---------------------------------------------
 
 // BenchmarkConsensus times one full consensus decision per iteration
@@ -982,12 +846,3 @@ func benchmarkConsensus(b *testing.B, warm bool) {
 	b.StopTimer()
 	svc.Drain()
 }
-
-// BenchmarkSearchScan times the retired linear-scan ranking (O(pool·dims)
-// cosine + full sort).
-func BenchmarkSearchScan(b *testing.B) { searchBench(b, "scan") }
-
-// BenchmarkSearchIndexed times the production path, Engine.Search: the
-// exhaustive posting-list + bounded-heap ranking. The gap versus
-// BenchmarkSearchScan is the inverted index's win.
-func BenchmarkSearchIndexed(b *testing.B) { searchBench(b, "search") }

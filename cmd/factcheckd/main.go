@@ -24,7 +24,8 @@
 // Endpoints: POST /v1/verify, POST /v1/verify/batch, POST /v1/documents,
 // GET /v1/verdict/{dataset}/{method}/{model}/{fact},
 // GET /v1/consensus/{fact}, GET /v1/facts,
-// GET /v1/trace/{id}, GET /healthz, GET /statsz, GET /metricsz.
+// GET /v1/trace/{id}, GET /healthz, GET /readyz, GET /metricsz (the
+// Prometheus text exposition of every counter and latency histogram).
 //
 // -trace-sample enables per-request tracing (see internal/obs): sampled
 // responses carry X-Trace-Id and a Server-Timing layer breakdown, and the

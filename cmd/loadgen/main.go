@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"factcheck/internal/llm"
+	"factcheck/internal/obs"
 	"factcheck/internal/prof"
 	"factcheck/internal/search"
 	"factcheck/internal/serve"
@@ -617,20 +618,20 @@ func fetchTargets(client *http.Client, addr string) ([]target, error) {
 	return ts, nil
 }
 
-// fetchStats snapshots the server's /statsz counters; loadgen prints the
-// retrieval block so per-layer reports show how much posting-list work the
-// run induced.
-func fetchStats(client *http.Client, addr string) (serve.Stats, error) {
-	var st serve.Stats
-	resp, err := client.Get(addr + "/statsz")
+// fetchStats scrapes the server's /metricsz exposition (validated by
+// obs.Scrape); loadgen prints the retrieval and consensus counters so
+// per-layer reports show how much posting-list and voter work the run
+// induced.
+func fetchStats(client *http.Client, addr string) (map[string]float64, error) {
+	resp, err := client.Get(addr + "/metricsz")
 	if err != nil {
-		return st, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET /statsz: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET /metricsz: status %d", resp.StatusCode)
 	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return obs.Scrape(resp.Body)
 }
 
 func run(args []string, out io.Writer) error {
@@ -828,10 +829,11 @@ func run(args []string, out io.Writer) error {
 	if st, err := fetchStats(client, addr); err != nil {
 		fmt.Fprintf(out, "retrieval: unavailable (%v)\n", err)
 	} else {
+		c := func(name string) uint64 { return uint64(st["factcheck_"+name+"_total"]) }
 		fmt.Fprintf(out, "retrieval: queries=%d postings_touched=%d docs_scored=%d\n",
-			st.Retrieval.SearchQueries, st.Retrieval.PostingsTouched, st.Retrieval.DocsScored)
+			c("retrieval_search_queries"), c("retrieval_postings_touched"), c("retrieval_docs_scored"))
 		fmt.Fprintf(out, "consensus: requests=%d dispatched=%d skipped=%d escalations=%d\n",
-			st.ConsensusRequests, st.ConsensusDispatched, st.ConsensusSkipped, st.ConsensusEscalations)
+			c("consensus_requests"), c("consensus_votes_dispatched"), c("consensus_votes_skipped"), c("consensus_escalations"))
 	}
 	fmt.Fprintf(out, "digest: %016x (%d distinct verdicts)\n", digest, len(verdicts))
 	if *fs.digest != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -156,11 +157,49 @@ func TestDigestOrderIndependent(t *testing.T) {
 	}
 }
 
+// fakeMetricsz is a canned /metricsz body in the daemon's shape: counters,
+// a labeled breaker family and one histogram around the seven series
+// loadgen reports.
+const fakeMetricsz = `# HELP factcheck_requests_total Requests reaching the admission middleware.
+# TYPE factcheck_requests_total counter
+factcheck_requests_total 140
+# TYPE factcheck_consensus_requests_total counter
+factcheck_consensus_requests_total 20
+# TYPE factcheck_consensus_votes_dispatched_total counter
+factcheck_consensus_votes_dispatched_total 55
+# TYPE factcheck_consensus_votes_skipped_total counter
+factcheck_consensus_votes_skipped_total 45
+# TYPE factcheck_consensus_escalations_total counter
+factcheck_consensus_escalations_total 3
+# TYPE factcheck_breaker_state gauge
+factcheck_breaker_state{model="mistral:7b"} 1
+# TYPE factcheck_retrieval_epoch gauge
+factcheck_retrieval_epoch 2
+# TYPE factcheck_retrieval_search_queries_total counter
+factcheck_retrieval_search_queries_total 12
+# TYPE factcheck_retrieval_postings_touched_total counter
+factcheck_retrieval_postings_touched_total 3456
+# TYPE factcheck_retrieval_docs_scored_total counter
+factcheck_retrieval_docs_scored_total 789
+# TYPE factcheck_endpoint_latency_seconds histogram
+factcheck_endpoint_latency_seconds_bucket{endpoint="verify",le="0.001024"} 100
+factcheck_endpoint_latency_seconds_bucket{endpoint="verify",le="+Inf"} 120
+factcheck_endpoint_latency_seconds_sum{endpoint="verify"} 0.25
+factcheck_endpoint_latency_seconds_count{endpoint="verify"} 120
+`
+
 // fakeService is a canned factcheckd: deterministic verdicts, no benchmark
 // build, so the end-to-end driver test stays fast.
-func fakeService(t *testing.T) *httptest.Server {
+func fakeService(t *testing.T) *httptest.Server { return fakeServiceWith(t, fakeMetricsz) }
+
+// fakeServiceWith is fakeService with the given /metricsz body.
+func fakeServiceWith(t *testing.T, metricsz string) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		io.WriteString(w, metricsz)
+	})
 	mux.HandleFunc("GET /v1/facts", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"datasets": map[string][]string{
 			"FactBench": {"fb-1", "fb-2"},
@@ -287,6 +326,39 @@ func TestRunIngestMix(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("repeated ingest runs produced different digests: %q vs %q", first, second)
+	}
+}
+
+// TestRunReportsMetricszCounters: the end-of-run retrieval and consensus
+// lines are read from the server's /metricsz exposition, and a malformed
+// exposition reports the counters unavailable instead of printing zeros.
+func TestRunReportsMetricszCounters(t *testing.T) {
+	args := func(url string) []string {
+		return []string{"-addr", url, "-mix", "uniform", "-n", "4", "-c", "1", "-seed", "2"}
+	}
+	var out bytes.Buffer
+	if err := run(args(fakeService(t).URL), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"\nretrieval: queries=12 postings_touched=3456 docs_scored=789\n",
+		"\nconsensus: requests=20 dispatched=55 skipped=45 escalations=3\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, out.String())
+		}
+	}
+
+	malformed := fakeMetricsz + "factcheck_retrieval_docs_scored_total 790\n" // duplicate series
+	out.Reset()
+	if err := run(args(fakeServiceWith(t, malformed).URL), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "\nretrieval: unavailable (line ") {
+		t.Errorf("malformed exposition not reported unavailable:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "consensus:") {
+		t.Errorf("malformed exposition still printed consensus counters:\n%s", out.String())
 	}
 }
 

@@ -75,7 +75,7 @@ func NewPlan(voters []string, cost func(string) float64) Plan {
 type Fetch func(ctx context.Context, model string) (strategy.Outcome, error)
 
 // RunStats counts the work one Decide actually performed, for the serving
-// layer's /statsz counters.
+// layer's consensus counters (/metricsz).
 type RunStats struct {
 	// Dispatched and Skipped partition the plan's voters.
 	Dispatched int

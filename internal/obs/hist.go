@@ -119,11 +119,3 @@ func (s *HistSnapshot) Quantile(q float64) time.Duration {
 	}
 	return BucketUpper(NumBuckets - 1)
 }
-
-// Mean returns the average observed duration (0 when empty).
-func (s *HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}

@@ -9,27 +9,38 @@ import (
 	"strings"
 )
 
-// Lint validates a Prometheus text-format exposition: comment structure,
-// metric-name and label syntax, parseable sample values, TYPE declarations
-// preceding their samples, and histogram invariants (every _bucket series
-// carries an le label, cumulative bucket counts are non-decreasing in le,
-// the series ends at +Inf, and _count matches the +Inf bucket). It is the
-// parser behind the CI gate that scrapes /metricsz, so it errs on the
-// strict side; the first violation is returned with its line number.
+// Lint validates a Prometheus text-format exposition; see Scrape.
 func Lint(r io.Reader) error {
+	_, err := Scrape(r)
+	return err
+}
+
+// Scrape parses and validates a Prometheus text-format exposition and
+// returns every sample it accepted, keyed "name" for an unlabeled series
+// and "name{labels}" (the label body as written) otherwise. Validation
+// covers comment structure, metric-name and label syntax, parseable sample
+// values, TYPE declarations preceding their samples, counters holding
+// finite non-negative integers, and histogram invariants (every _bucket
+// series carries an le label, bucket and _count values are counts,
+// cumulative bucket counts are non-decreasing in le, the series ends at
+// "+Inf", and _count exists exactly when buckets do and matches the +Inf
+// bucket). It is the parser behind the CI gate that scrapes /metricsz and
+// behind loadgen's end-of-run counters, so it errs on the strict side; the
+// first violation is returned with its line number.
+func Scrape(r io.Reader) (map[string]float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
 	types := map[string]string{} // metric name -> declared type
-	seen := map[string]bool{}    // full series (name + label set) -> dup check
+	out := map[string]float64{}  // accepted series -> value
 	type histState struct {
 		lastLe  float64
-		lastCum uint64
+		lastCum float64
 		infSeen bool
-		infVal  uint64
+		infVal  float64
 	}
 	hists := map[string]*histState{} // name{labels-sans-le} -> bucket walk
-	counts := map[string]uint64{}    // histogram base+labels -> _count value
+	counts := map[string]float64{}   // histogram base+labels -> _count value
 
 	lineNo := 0
 	for sc.Scan() {
@@ -40,34 +51,40 @@ func Lint(r io.Reader) error {
 		}
 		if strings.HasPrefix(line, "#") {
 			if err := lintComment(line, types); err != nil {
-				return fmt.Errorf("line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			continue
 		}
 		name, labels, value, err := parseSample(line)
 		if err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		series := name + "{" + labels + "}"
-		if seen[series] {
-			return fmt.Errorf("line %d: duplicate series %s", lineNo, series)
+		series := name
+		if labels != "" {
+			series += "{" + labels + "}"
 		}
-		seen[series] = true
+		if _, dup := out[series]; dup {
+			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, series)
+		}
+		out[series] = value
 
 		base, suffix := splitSuffix(name)
 		if types[base] == "histogram" && suffix != "" {
 			key := base + "{" + stripLabel(labels, "le") + "}"
+			if suffix != "_sum" && !isCount(value) {
+				return nil, fmt.Errorf("line %d: %s value %v not a non-negative integer", lineNo, name, value)
+			}
 			switch suffix {
 			case "_bucket":
 				le, ok := labelValue(labels, "le")
 				if !ok {
-					return fmt.Errorf("line %d: %s series missing le label", lineNo, name)
+					return nil, fmt.Errorf("line %d: %s series missing le label", lineNo, name)
 				}
 				bound := math.Inf(1)
 				if le != "+Inf" {
 					bound, err = strconv.ParseFloat(le, 64)
-					if err != nil {
-						return fmt.Errorf("line %d: bad le %q: %w", lineNo, le, err)
+					if err != nil || math.IsInf(bound, 0) || math.IsNaN(bound) {
+						return nil, fmt.Errorf("line %d: bad le %q", lineNo, le)
 					}
 				}
 				h := hists[key]
@@ -76,44 +93,55 @@ func Lint(r io.Reader) error {
 					hists[key] = h
 				}
 				if bound <= h.lastLe {
-					return fmt.Errorf("line %d: %s le %q not increasing", lineNo, name, le)
+					return nil, fmt.Errorf("line %d: %s le %q not increasing", lineNo, name, le)
 				}
-				cum := uint64(value)
-				if cum < h.lastCum {
-					return fmt.Errorf("line %d: %s cumulative count decreased at le %q", lineNo, name, le)
+				if value < h.lastCum {
+					return nil, fmt.Errorf("line %d: %s cumulative count decreased at le %q", lineNo, name, le)
 				}
-				h.lastLe, h.lastCum = bound, cum
+				h.lastLe, h.lastCum = bound, value
 				if math.IsInf(bound, 1) {
-					h.infSeen, h.infVal = true, cum
+					h.infSeen, h.infVal = true, value
 				}
 			case "_count":
-				counts[key] = uint64(value)
+				counts[key] = value
 			}
-		} else if typ, ok := types[name]; !ok {
-			return fmt.Errorf("line %d: sample %s has no preceding TYPE declaration", lineNo, name)
-		} else if typ == "counter" && (value < 0 || value != math.Trunc(value)) {
-			return fmt.Errorf("line %d: counter %s value %v not a non-negative integer", lineNo, name, value)
+		} else if _, ok := types[name]; !ok {
+			return nil, fmt.Errorf("line %d: sample %s has no preceding TYPE declaration", lineNo, name)
+		}
+		if types[name] == "counter" && !isCount(value) {
+			return nil, fmt.Errorf("line %d: counter %s value %v not a non-negative integer", lineNo, name, value)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	for key, h := range hists {
 		if !h.infSeen {
-			return fmt.Errorf("histogram %s has no +Inf bucket", key)
+			return nil, fmt.Errorf("histogram %s has no +Inf bucket", key)
 		}
 		if c, ok := counts[key]; !ok {
-			return fmt.Errorf("histogram %s has no _count series", key)
+			return nil, fmt.Errorf("histogram %s has no _count series", key)
 		} else if c != h.infVal {
-			return fmt.Errorf("histogram %s _count %d != +Inf bucket %d", key, c, h.infVal)
+			return nil, fmt.Errorf("histogram %s _count %v != +Inf bucket %v", key, c, h.infVal)
 		}
 	}
-	return nil
+	for key := range counts {
+		if hists[key] == nil {
+			return nil, fmt.Errorf("histogram %s has a _count but no buckets", key)
+		}
+	}
+	return out, nil
+}
+
+// isCount reports whether v is a finite non-negative integer, the only
+// legal value of a counter sample or a histogram bucket or count.
+func isCount(v float64) bool {
+	return v >= 0 && v == math.Trunc(v) && !math.IsInf(v, 1)
 }
 
 func lintComment(line string, types map[string]string) error {
 	fields := strings.Fields(line)
-	if len(fields) < 2 {
+	if len(fields) < 2 || fields[0] != "#" {
 		return nil // bare comment
 	}
 	switch fields[1] {
@@ -164,13 +192,13 @@ func parseSample(line string) (name, labels string, value float64, err error) {
 	if !validMetricName(name) {
 		return "", "", 0, fmt.Errorf("invalid metric name %q", name)
 	}
-	valueField := rest
-	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		valueField = rest[:sp] // optional timestamp after the value
-	}
+	valueField, ts, hasTS := strings.Cut(rest, " ") // optional timestamp after the value
 	value, err = strconv.ParseFloat(valueField, 64)
 	if err != nil {
 		return "", "", 0, fmt.Errorf("bad sample value %q", valueField)
+	}
+	if _, err := strconv.ParseInt(ts, 10, 64); hasTS && err != nil {
+		return "", "", 0, fmt.Errorf("bad sample timestamp %q", ts)
 	}
 	return name, labels, value, nil
 }

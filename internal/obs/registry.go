@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"time"
 )
 
 // Registry owns a process-wide set of named histograms, grouped into
@@ -59,42 +58,6 @@ func Layer(label string) *Histogram { return Default.Histogram("layer", label) }
 // Endpoint returns the named endpoint histogram of the default registry —
 // whole-request latency per HTTP endpoint.
 func Endpoint(label string) *Histogram { return Default.Histogram("endpoint", label) }
-
-// Summary condenses one histogram for JSON stats payloads (the /statsz
-// latency section): count plus derived quantiles in milliseconds.
-type Summary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Summarize derives the stats-payload view of a snapshot.
-func Summarize(s HistSnapshot) Summary {
-	return Summary{
-		Count:  s.Count,
-		MeanMS: ms(s.Mean()),
-		P50MS:  ms(s.Quantile(0.50)),
-		P95MS:  ms(s.Quantile(0.95)),
-		P99MS:  ms(s.Quantile(0.99)),
-	}
-}
-
-// Summaries returns "family/label" -> Summary for every histogram that has
-// recorded at least one observation, in deterministic (sorted) key order
-// courtesy of JSON map marshalling.
-func (r *Registry) Summaries() map[string]Summary {
-	out := map[string]Summary{}
-	for _, e := range r.entries() {
-		if s := e.h.Snapshot(); s.Count > 0 {
-			out[e.fam+"/"+e.label] = Summarize(s)
-		}
-	}
-	return out
-}
 
 // histEntry is one registered histogram with its coordinates.
 type histEntry struct {

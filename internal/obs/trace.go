@@ -89,6 +89,8 @@ func (t *Trace) ServerTiming() string {
 	return b.String()
 }
 
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // spanRef is the context value: a trace plus the index of the span that is
 // the current parent.
 type spanRef struct {

@@ -21,7 +21,7 @@ var (
 
 // Registry owns the per-model breakers and retry policy of one process.
 // It wraps models once (Benchmark.Model caches the wrapped chain) and
-// snapshots ensemble-wide stats for /statsz and /metricsz.
+// snapshots ensemble-wide stats for /metricsz.
 type Registry struct {
 	cfg Config
 

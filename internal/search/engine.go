@@ -192,11 +192,9 @@ type factEntry struct {
 }
 
 // factPool is a fully materialised fact: the pool-ordered documents, an
-// O(1) fetch table, and the inverted index. Everything except the two
-// lazily-computed caches (scan vectors, sentence splits) and the lastUsed
-// clock is immutable after construction. scanVecs lazily holds the dense
-// embedding of every document for ScanSearch, the linear-scan reference
-// path; Search never materialises them.
+// O(1) fetch table, and the inverted index. Everything except the lazily
+// built sentence splits and the lastUsed clock is immutable after
+// construction.
 type factPool struct {
 	docs []*pooledDoc
 	byID map[string]*pooledDoc
@@ -210,9 +208,6 @@ type factPool struct {
 	// phase issues one cheap atomic store per pool per epoch, not per
 	// query; eviction compares generations at publish time.
 	lastUsed atomic.Uint64
-
-	scanOnce sync.Once
-	scanVecs []text.Vector
 }
 
 // pooledDoc is one doc-table row: the document, its body, the full
@@ -490,22 +485,16 @@ func (e *Engine) queryVec(q string) text.SparseVector {
 	}
 }
 
-// serpJitterScale is the magnitude of the deterministic SERP perturbation,
-// shared by the production path (which pre-hashes the query prefix) and
-// the scan reference.
+// serpJitterScale is the magnitude of the deterministic per-(query,doc)
+// SERP perturbation: SERPs rank by more than lexical relevance (authority,
+// freshness).
 const serpJitterScale = 0.05
-
-// serpJitter is the deterministic per-(query,doc) score perturbation:
-// SERPs rank by more than lexical relevance (authority, freshness).
-func serpJitter(query, docID string) float64 {
-	return serpJitterScale * det.Uniform("serp", query, docID)
-}
 
 // Search implements Searcher. Ranking is cosine relevance of the query to
 // title+body with a small deterministic tie-break jitter, mimicking the
 // opaque ordering of a web SERP. Scoring is exhaustive term-at-a-time
 // accumulation over the inverted index (index.TopKSparse), byte-identical
-// to the linear-scan reference ScanSearch.
+// to a linear scan of dense cosines (the reference in this package's tests).
 func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	start := time.Now()
 	if n <= 0 {
@@ -519,7 +508,7 @@ func (e *Engine) Search(factID, query string, n int) ([]SERPItem, error) {
 	qv := e.queryVec(query)
 	// One partial hash covers the ("serp", query) prefix for the whole
 	// pool; each document extends it with its ID only. Values are identical
-	// to serpJitter(query, docID).
+	// to serpJitterScale * det.Uniform("serp", query, docID).
 	key := det.NewKey("serp", query)
 	a := e.arena()
 	hits := p.idx.TopKSparse(qv, n, func(docID string) float64 {
@@ -550,61 +539,6 @@ func serpItems(p *factPool, hits []index.Hit) []SERPItem {
 		}
 	}
 	return out
-}
-
-// ScanSearch is the retired linear-scan ranking, kept as the differential
-// reference for Search: cosine of the query against every pool
-// document's dense embedding, full sort, truncate. Golden tests assert
-// Search == ScanSearch byte for byte, and the bench suite compares their
-// cost. Dense vectors are materialised lazily on first use and cached per
-// pool, so repeated calls measure steady-state scan cost as the old engine
-// paid it.
-func (e *Engine) ScanSearch(factID, query string, n int) ([]SERPItem, error) {
-	if n <= 0 {
-		n = DefaultSERPSize
-	}
-	p, err := e.pool(factID)
-	if err != nil {
-		return nil, err
-	}
-	p.scanOnce.Do(func() {
-		p.scanVecs = make([]text.Vector, len(p.docs))
-		for i, d := range p.docs {
-			p.scanVecs[i] = text.Embed(d.full)
-		}
-	})
-	qv := text.Embed(query)
-	type scored struct {
-		d *pooledDoc
-		s float64
-	}
-	items := make([]scored, 0, len(p.docs))
-	for i, d := range p.docs {
-		s := text.Cosine(qv, p.scanVecs[i])
-		s += serpJitter(query, d.doc.ID)
-		items = append(items, scored{d: d, s: s})
-	}
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].s != items[j].s {
-			return items[i].s > items[j].s
-		}
-		return items[i].d.doc.ID < items[j].d.doc.ID
-	})
-	if len(items) > n {
-		items = items[:n]
-	}
-	out := make([]SERPItem, len(items))
-	for i, it := range items {
-		out[i] = SERPItem{
-			DocID: it.d.doc.ID,
-			URL:   it.d.doc.URL,
-			Host:  it.d.doc.Host,
-			Title: it.d.doc.Title,
-			Rank:  i + 1,
-			Score: it.s,
-		}
-	}
-	return out, nil
 }
 
 // Fetch implements Searcher with an O(1) doc-table lookup.

@@ -161,10 +161,11 @@ func TestFactIDOfDoc(t *testing.T) {
 
 // TestSearchMatchesScan is the golden differential ladder: for several
 // facts and queries, the indexed path (Search) and the retired linear scan
-// (ScanSearch) must agree byte for byte — same documents, same order, same
+// (scanRef) must agree byte for byte — same documents, same order, same
 // float64 scores.
 func TestSearchMatchesScan(t *testing.T) {
 	e, d := fixture(t)
+	ref := newScanRef(e)
 	if len(d.Facts) < 3 {
 		t.Fatalf("fixture has %d facts, need >= 3", len(d.Facts))
 	}
@@ -182,7 +183,7 @@ func TestSearchMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scan, err := e.ScanSearch(f.ID, q, n)
+				scan, err := ref.search(f.ID, q, n)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -130,7 +130,7 @@ func TestForceTraceHeader(t *testing.T) {
 }
 
 // TestMetricszExposition: /metricsz must parse under the package's own
-// strict linter and expose every /statsz counter plus the layer
+// strict linter and expose every Stats counter plus the layer
 // histograms.
 func TestMetricszExposition(t *testing.T) {
 	svc := newTestService(t, permissive())
@@ -183,36 +183,6 @@ func TestMetricszExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-}
-
-// TestStatszLatencySection: /statsz grows a latency map keyed
-// family/label while keeping every existing field.
-func TestStatszLatencySection(t *testing.T) {
-	svc := newTestService(t, permissive())
-	defer svc.Drain()
-	svc.verify = func(_ context.Context, cell core.Cell, f *dataset.Fact) (strategy.Outcome, error) {
-		return stubOutcome(cell, f), nil
-	}
-	h := svc.Handler()
-	f := firstFact(dataset.FactBench)
-	postVerify(t, h, VerifyRequest{
-		Dataset: string(dataset.FactBench), Method: string(llm.MethodDKA),
-		Model: llm.Gemma2, FactID: f.ID,
-	})
-	st := svc.Stats()
-	if st.Latency == nil {
-		t.Fatal("stats carry no latency section")
-	}
-	lru, ok := st.Latency["layer/lru"]
-	if !ok {
-		t.Fatalf("latency section missing layer/lru: %v", st.Latency)
-	}
-	if lru.Count == 0 || lru.P99MS < lru.P50MS {
-		t.Errorf("implausible lru summary: %+v", lru)
-	}
-	if _, ok := st.Latency["endpoint/verify"]; !ok {
-		t.Errorf("latency section missing endpoint/verify: %v", st.Latency)
 	}
 }
 

@@ -601,66 +601,61 @@ type ConsensusResponse struct {
 	LatencyMS float64 `json:"latency_ms"`
 }
 
-// Stats is the /statsz payload.
+// Stats is the in-process snapshot of the service counters; /metricsz
+// renders it.
 type Stats struct {
-	Requests      uint64 `json:"requests"`
-	RateLimited   uint64 `json:"rate_limited"`
-	QueueRejected uint64 `json:"queue_rejected"`
-	LRUHits       uint64 `json:"lru_hits"`
-	StoreHits     uint64 `json:"store_hits"`
-	Computed      uint64 `json:"computed"`
-	Coalesced     uint64 `json:"coalesced"`
-	CellFills     uint64 `json:"cell_fills"`
+	Requests      uint64
+	RateLimited   uint64
+	QueueRejected uint64
+	LRUHits       uint64
+	StoreHits     uint64
+	Computed      uint64
+	Coalesced     uint64
+	CellFills     uint64
 
 	// Ingestion counters: batches and documents accepted (202), documents
 	// folded into published epoch snapshots by the background builder,
 	// batches rejected because the ingest queue was full (503), and stale
 	// verdict-LRU entries reclaimed after epoch bumps.
-	IngestBatches  uint64 `json:"ingest_batches"`
-	IngestDocs     uint64 `json:"ingest_docs"`
-	IngestApplied  uint64 `json:"ingest_docs_applied"`
-	IngestRejected uint64 `json:"ingest_rejected"`
-	IngestSwept    uint64 `json:"ingest_swept"`
+	IngestBatches  uint64
+	IngestDocs     uint64
+	IngestApplied  uint64
+	IngestRejected uint64
+	IngestSwept    uint64
 
-	CacheLen      int `json:"cache_len"`
-	CacheCapacity int `json:"cache_capacity"`
-	QueueDepth    int `json:"queue_depth"`
-	QueueCap      int `json:"queue_cap"`
-	StoreCells    int `json:"store_cells"`
-	Clients       int `json:"clients"`
+	CacheLen      int
+	CacheCapacity int
+	QueueDepth    int
+	QueueCap      int
+	StoreCells    int
+	Clients       int
 
 	// Consensus-engine counters: requests served, votes the planner
 	// dispatched vs skipped, tiers escalated past the cheap quorum, and
 	// decisions settled over a partial ensemble.
-	ConsensusRequests    uint64 `json:"consensus_requests"`
-	ConsensusDispatched  uint64 `json:"consensus_votes_dispatched"`
-	ConsensusSkipped     uint64 `json:"consensus_votes_skipped"`
-	ConsensusEscalations uint64 `json:"consensus_escalations"`
-	ConsensusDegraded    uint64 `json:"consensus_degraded"`
+	ConsensusRequests    uint64
+	ConsensusDispatched  uint64
+	ConsensusSkipped     uint64
+	ConsensusEscalations uint64
+	ConsensusDegraded    uint64
 
 	// Resilience-path counters: stale verdicts served degraded, 503s for
 	// unavailable dependencies with no stale copy, 504s from the request
 	// deadline, and the background builder's ingest retries/drops.
-	Degraded      uint64 `json:"degraded_served"`
-	Unavailable   uint64 `json:"unavailable_rejected"`
-	Deadlines     uint64 `json:"deadline_timeouts"`
-	IngestRetries uint64 `json:"ingest_retries"`
-	IngestDropped uint64 `json:"ingest_dropped"`
+	Degraded      uint64
+	Unavailable   uint64
+	Deadlines     uint64
+	IngestRetries uint64
+	IngestDropped uint64
 
 	// Resilience snapshots the retry counters and per-model circuit
 	// breakers (zero value when no resilience policy is configured).
-	Resilience resilience.Stats `json:"resilience"`
+	Resilience resilience.Stats
 
 	// Retrieval mirrors the search engine's cumulative counters — cache
 	// behaviour plus the top-k's work accounting (queries, postings
 	// touched, docs scored).
-	Retrieval search.Stats `json:"retrieval"`
-
-	// Latency summarises every layer and endpoint histogram with at least
-	// one observation, keyed "family/label" (e.g. "layer/lru",
-	// "endpoint/verify"): count, mean and exact-at-bucket-resolution
-	// p50/p95/p99 in milliseconds. /metricsz exposes the full bucket data.
-	Latency map[string]obs.Summary `json:"latency,omitempty"`
+	Retrieval search.Stats
 }
 
 // Stats snapshots the service counters. The counter block is loaded under
@@ -669,12 +664,10 @@ type Stats struct {
 // consensus_votes_dispatched + consensus_votes_skipped ==
 // consensus_requests * len(voters).
 func (s *Service) Stats() Stats {
-	latency := obs.Default.Summaries()
 	s.stats.mu.Lock()
 	defer s.stats.mu.Unlock()
 	return Stats{
 		Retrieval:     s.bench.Engine.Stats(),
-		Latency:       latency,
 		Requests:      s.stats.requests.Load(),
 		RateLimited:   s.stats.rateLimited.Load(),
 		QueueRejected: s.stats.queueRejected.Load(),
@@ -721,10 +714,10 @@ func (s *Service) Stats() Stats {
 //	GET  /v1/facts                                     -> fact IDs per dataset
 //	GET  /v1/trace/{id}                                -> one sampled trace's spans
 //	GET  /healthz (liveness), GET /readyz (readiness; 503 while draining)
-//	GET  /statsz, GET /metricsz
+//	GET  /metricsz                                     -> Prometheus text exposition
 //
 // Verification and ingestion endpoints sit behind the rate limiter and
-// admission queue; health, stats, metrics, traces and fact listing bypass
+// admission queue; health, metrics, traces and fact listing bypass
 // both (an observability scrape must never consume serving capacity).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -749,9 +742,6 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	})
-	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /metricsz", s.handleMetrics)
 	return mux
@@ -1104,8 +1094,8 @@ type IngestRequest struct {
 
 // IngestResponse acknowledges an admitted ingestion batch. Folding is
 // asynchronous: the batch is queued for the background builder, which
-// publishes one fresh epoch snapshot covering it; /statsz exposes applied
-// counters and the engine's epoch.
+// publishes one fresh epoch snapshot covering it; /metricsz exposes the
+// applied counter and the engine's epoch.
 type IngestResponse struct {
 	Queued int `json:"queued"`
 }
@@ -1250,7 +1240,7 @@ func (s *Service) Consensus(ctx context.Context, factID string) (*ConsensusRespo
 	if err != nil {
 		return nil, err
 	}
-	// Grouped under the stats lock (shared): a /statsz scrape sees this
+	// Grouped under the stats lock (shared): a /metricsz scrape sees this
 	// request's counters land together or not at all.
 	s.stats.mu.RLock()
 	s.stats.consensusRequests.Add(1)
@@ -1304,7 +1294,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleMetrics renders every /statsz counter plus the layer and endpoint
+// handleMetrics renders every Stats counter plus the layer and endpoint
 // latency histograms in Prometheus text format. Counters follow the
 // factcheck_<name>_total convention; point-in-time values (cache sizes,
 // queue depth, corpus epoch) are gauges; the latency families are

@@ -789,7 +789,7 @@ func TestConsensusNoVotersRejectedBeforeCharge(t *testing.T) {
 	}
 }
 
-// TestConsensusStatszCounters: the /statsz consensus counters must account
+// TestConsensusStatszCounters: the Stats consensus counters must account
 // for exactly the votes the planner dispatched, skipped and escalated.
 func TestConsensusStatszCounters(t *testing.T) {
 	verdicts := map[string]strategy.Verdict{}
@@ -801,15 +801,6 @@ func TestConsensusStatszCounters(t *testing.T) {
 		return out, nil
 	}
 	h := svc.Handler()
-	statsz := func() Stats {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
-		var st Stats
-		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
 
 	// A unanimous quorum: 3 dispatched, 1 skipped, no escalation.
 	for _, m := range svc.plan.Order {
@@ -819,7 +810,7 @@ func TestConsensusStatszCounters(t *testing.T) {
 	if resp, w := getConsensus(t, h, f.ID); resp == nil {
 		t.Fatalf("consensus: %d %s", w.Code, w.Body.String())
 	}
-	st := statsz()
+	st := svc.Stats()
 	if st.ConsensusRequests != 1 || st.ConsensusDispatched != 3 || st.ConsensusSkipped != 1 || st.ConsensusEscalations != 0 {
 		t.Fatalf("after unanimous quorum: %+v, want 1 request, 3 dispatched, 1 skipped, 0 escalations", st)
 	}
@@ -838,7 +829,7 @@ func TestConsensusStatszCounters(t *testing.T) {
 	if resp.Final || resp.Tie {
 		t.Fatalf("split quorum decision = %+v, want 1-3 false", resp)
 	}
-	st = statsz()
+	st = svc.Stats()
 	if st.ConsensusRequests != 2 || st.ConsensusDispatched != 7 || st.ConsensusSkipped != 1 || st.ConsensusEscalations != 1 {
 		t.Fatalf("after split quorum: %+v, want 2 requests, 7 dispatched, 1 skipped, 1 escalation", st)
 	}
@@ -882,7 +873,8 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestFactsAndStats smoke-tests the unthrottled endpoints.
+// TestFactsAndStats smoke-tests the unthrottled endpoints and the Stats
+// snapshot; the retired /statsz route must answer 404.
 func TestFactsAndStats(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
@@ -912,41 +904,24 @@ func TestFactsAndStats(t *testing.T) {
 	}
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("statsz: %d", w.Code)
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("statsz: %d, want 404 (/metricsz is the only stats surface)", w.Code)
 	}
-	var st Stats
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.QueueCap != 256 {
+	if st := svc.Stats(); st.QueueCap != 256 {
 		t.Fatalf("queue_cap = %d, want 256", st.QueueCap)
 	}
 }
 
 // TestStatszRetrievalCounters: a real (unstubbed) RAG verification performs
-// retrieval, so the engine's cumulative pruning counters surfaced under
-// /statsz "retrieval" must move. The bench engine is shared across tests,
-// so assert on deltas.
+// retrieval, so the engine's cumulative top-k work counters surfaced under
+// Stats.Retrieval must move. The bench engine is shared across tests, so
+// assert on deltas.
 func TestStatszRetrievalCounters(t *testing.T) {
 	svc := newTestService(t, permissive())
 	defer svc.Drain()
 	h := svc.Handler()
 
-	statsz := func() Stats {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("statsz: %d", w.Code)
-		}
-		var st Stats
-		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	before := statsz()
+	before := svc.Stats()
 	f := firstFact(dataset.FactBench)
 	// The bench's evidence cache is shared across tests and repeats: drop
 	// the fact's entry so this verify always retrieves.
@@ -955,7 +930,7 @@ func TestStatszRetrievalCounters(t *testing.T) {
 	if w := postVerify(t, h, req); w.Code != http.StatusOK {
 		t.Fatalf("verify: %d: %s", w.Code, w.Body.String())
 	}
-	after := statsz()
+	after := svc.Stats()
 
 	if after.Retrieval.SearchQueries <= before.Retrieval.SearchQueries {
 		t.Errorf("search_queries did not move: %d -> %d",
